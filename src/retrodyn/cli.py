@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from ._io import make_out_dir
 from .dynamics import simulate_trajectory, write_trajectory_csv
 from .errors import RetrodynError
 from .model import derive_rates
@@ -84,7 +85,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    make_out_dir(cfg.out_dir)
     grid = cfg.grid()
     v0 = derive_rates(cfg.params).v_uc
     n_files = max(min(cfg.n_display, cfg.n_traj), 1)

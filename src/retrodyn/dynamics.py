@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import DomainError, GridError, NumericsError, ShapeError, ValidationError
 from .model import GaussianState, PhysParams, derive_rates
 
@@ -204,7 +205,7 @@ def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _synthesize(p: PhysParams, grid: TimeGrid, v_nodes, v_mids, dw):
-    """Core kernel shared by single and batch simulation.
+    """Synthesis kernel of simulate_batch.
 
     dw has shape (..., n_steps, 2); returns (r, idt_over_dt) with r of shape
     (..., n_steps + 1, 2). Elementwise updates only, so batching does not
@@ -240,13 +241,9 @@ def simulate_trajectory(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
     i[k] = (sqrt(4 eta Gamma_qba) r[k] dt + dw[k]) / dt. Fixing (seed, stream)
     and rerunning gives bit-identical output.
     """
-    v_nodes = solve_conditional_variance(p, grid, v0)
-    v_mids = conditional_variance_midpoints(p, v_nodes, grid.dt)
-    gen = trajectory_rng(seed, stream)
-    dw = gen.standard_normal((grid.n_steps, 2)) * math.sqrt(grid.dt)
-    r, photo = _synthesize(p, grid, v_nodes, v_mids, dw)
-    return Trajectory(grid=grid, r=r, v=v_nodes, dw=dw, photocurrent=photo,
-                      seed=seed, stream=stream)
+    lane = simulate_batch(p, grid, v0, seed, [stream])
+    return Trajectory(grid=grid, r=lane.r[0], v=lane.v, dw=lane.dw[0],
+                      photocurrent=lane.photocurrent[0], seed=seed, stream=stream)
 
 
 def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
@@ -288,10 +285,6 @@ def verify_photocurrent_identity(traj: Trajectory, p: PhysParams) -> bool:
     return np.array_equal(traj.photocurrent, expected)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path, every: int = 1) -> None:
     """Export a trajectory as CSV with header ``t,rx,ry,v,ix,iy``.
 
@@ -302,17 +295,10 @@ def write_trajectory_csv(traj: Trajectory, path, every: int = 1) -> None:
     """
     if every < 1:
         raise ValidationError(f"every must be >= 1, got {every!r}")
-    t = traj.grid.times()
-    n = traj.grid.n_steps
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for k in range(0, n + 1, every):
-            if k < n:
-                ix, iy = traj.photocurrent[k]
-            else:
-                ix = iy = math.nan
-            fh.write(",".join(_fmt(x) for x in
-                              (t[k], traj.r[k, 0], traj.r[k, 1], traj.v[k], ix, iy)) + "\n")
+    photo = np.concatenate([traj.photocurrent, np.full((1, 2), math.nan)])
+    sl = slice(None, None, every)
+    write_csv(path, CSV_HEADER, [traj.grid.times()[sl], traj.r[sl, 0], traj.r[sl, 1],
+                                 traj.v[sl], photo[sl, 0], photo[sl, 1]])
 
 
 def read_trajectory_csv(path, p: PhysParams) -> Trajectory:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import (
     RegimeError,
     ReconstructionError,
@@ -43,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import TimeGrid, Trajectory, conditional_variance_midpoints, solve_conditional_variance
-from .model import PhysParams, derive_rates
+from .model import DerivedRates, PhysParams, derive_rates
 
 __all__ = [
     "FilteredPath",
@@ -147,16 +148,22 @@ def forward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
     return out
 
 
-def burn_in_steps(p: PhysParams, dt: float) -> int:
-    """Number of grid steps in the backward burn-in window 10 / lambda."""
-    lam = derive_rates(p).lambda_b
+def _retrodiction_rates(p: PhysParams) -> DerivedRates:
+    """Derived rates, refused unless the backward filter contracts."""
+    rates = derive_rates(p)
+    lam = rates.lambda_b
     if not (lam > 0):
         raise RegimeError(
             f"retrodiction needs lambda > 0, got {lam!r}: measurement too weak"
         )
-    if not math.isfinite(lam):
+    if not (math.isfinite(lam) and math.isfinite(rates.v_e)):
         raise RegimeError("retrodiction undefined in the measurement-off limit")
-    return math.ceil(10.0 / (lam * dt))
+    return rates
+
+
+def burn_in_steps(p: PhysParams, dt: float) -> int:
+    """Number of grid steps in the backward burn-in window 10 / lambda."""
+    return math.ceil(10.0 / (_retrodiction_rates(p).lambda_b * dt))
 
 
 def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
@@ -176,14 +183,8 @@ def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
         raise ShapeError(
             f"photocurrent shape {i.shape} does not match grid with {grid.n_steps} steps"
         )
-    rates = derive_rates(p)
+    rates = _retrodiction_rates(p)
     lam = rates.lambda_b
-    if not (lam > 0):
-        raise RegimeError(
-            f"retrodiction needs lambda > 0, got {lam!r}: measurement too weak"
-        )
-    if not (math.isfinite(lam) and math.isfinite(rates.v_e)):
-        raise RegimeError("retrodiction undefined in the measurement-off limit")
     dt = grid.dt
     afac = 1.0 - lam * dt
     bcoef = math.sqrt(4.0 * rates.gamma_meas) * rates.v_e
@@ -307,12 +308,7 @@ def reconstruct_conditional_variance(ev: EnsembleVariance, p: PhysParams,
 
 def write_reconstruction_csv(path, ev: EnsembleVariance, v_rec) -> None:
     """Write the ``t,v_d,stderr,v_rec`` data product for an ensemble."""
-    t = ev.grid.times()
     v_rec = np.asarray(v_rec, dtype=float)
     if v_rec.shape != ev.v_d.shape:
         raise ShapeError("v_rec and ev.v_d must have matching shapes")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RECONSTRUCTION_CSV_HEADER + "\n")
-        for k in range(len(t)):
-            fh.write(",".join(f"{x:.17g}" for x in
-                              (t[k], ev.v_d[k], ev.stderr[k], v_rec[k])) + "\n")
+    write_csv(path, RECONSTRUCTION_CSV_HEADER, [ev.grid.times(), ev.v_d, ev.stderr, v_rec])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._io import check_record
 from .errors import ConfigError, DomainError, ModelError, NumericsError, ShapeError, StabilityError
 from .model import PhysParams, derive_rates
 
@@ -326,17 +327,6 @@ def total_entropy_rates(m: GaussianModel, v: CovMatrix, r=None) -> tuple[float, 
     return sum(c.phi for c in rates), sum(c.pi for c in rates)
 
 
-def _record(name: str, value: float, reference: float, tolerance: float) -> dict:
-    scale = abs(reference) if reference != 0 else 1.0
-    return {
-        "name": name,
-        "value": float(value),
-        "reference": float(reference),
-        "tolerance": float(tolerance),
-        "pass": bool(abs(value - reference) <= tolerance * scale),
-    }
-
-
 def adiabatic_consistency_check(p: PhysParams) -> list[dict]:
     """Cross-validate the 4x4 model against the eliminated-cavity description.
 
@@ -358,19 +348,19 @@ def adiabatic_consistency_check(p: PhysParams) -> list[dict]:
         full = build_optomech_model(p)
         v4 = lyapunov_steady_state(full).v
         mech = 0.5 * (v4[0, 0] + v4[1, 1])
-        report.append(_record("mech_marginal_vs_v_uc", mech, v_uc, 2e-2))
-        report.append(_record("qba_vs_4g2_over_kappa",
-                              4.0 * p.g * p.g / p.kappa, p.gamma_qba, 5e-3))
+        report.append(check_record("mech_marginal_vs_v_uc", mech, v_uc, 2e-2))
+        report.append(check_record("qba_vs_4g2_over_kappa",
+                                   4.0 * p.g * p.g / p.kappa, p.gamma_qba, 5e-3))
 
     adia = build_adiabatic_model(p)
     phi_ref, pi_ref = unconditional_rates(p, v_uc)
     phi_sum, pi_sum = total_entropy_rates(adia, CovMatrix(v=v_uc * np.eye(2)))
-    report.append(_record("adiabatic_flux_sum_rule", phi_sum, phi_ref, 1e-9))
-    report.append(_record("adiabatic_production_sum_rule", pi_sum, pi_ref, 1e-9))
+    report.append(check_record("adiabatic_flux_sum_rule", phi_sum, phi_ref, 1e-9))
+    report.append(check_record("adiabatic_production_sum_rule", pi_sum, pi_ref, 1e-9))
 
     v_ness = lyapunov_steady_state(adia)
     phi_ss, pi_ss = total_entropy_rates(adia, v_ness)
     denom = abs(pi_ss) if pi_ss != 0 else 1.0
-    report.append(_record("ness_flux_plus_production_rel",
-                          (phi_ss + pi_ss) / denom, 0.0, 1e-12))
+    report.append(check_record("ness_flux_plus_production_rel",
+                               (phi_ss + pi_ss) / denom, 0.0, 1e-12))
     return report

@@ -222,16 +222,7 @@ def validate_params(raw: dict) -> PhysParams:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required parameter: {key} (or {key}_hz)")
-    return PhysParams(
-        gamma_m=values["gamma_m"],
-        n_th=values["n_th"],
-        gamma_qba=values["gamma_qba"],
-        eta_det=values["eta_det"],
-        omega_m=values.get("omega_m"),
-        kappa=values.get("kappa"),
-        g=values.get("g"),
-        delta=values.get("delta", 0.0),
-    )
+    return PhysParams(**values)
 
 
 def derive_rates(p: PhysParams) -> DerivedRates:

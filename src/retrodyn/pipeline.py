@@ -11,25 +11,26 @@ run_experiment turns a configuration into the figure-ready data products:
 
 Everything except manifest.json is a pure function of the configuration:
 trajectories are keyed (master_seed, stream) with stream = trajectory index,
-the ensemble is processed in fixed-size chunks in index order, and
-reductions are pairwise, so byte-identical files come out regardless of how
-many workers run the chunks. The manifest records wall time and library
-versions and is the one file expected to differ between reruns.
+chunks are assembled in index order, and every ensemble reduction runs on the
+assembled arrays, so byte-identical files come out regardless of how many
+workers run the chunks and how large the chunks are. The manifest records
+wall time and library versions and is the one file expected to differ
+between reruns.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import estimation, thermo
+from ._io import check_record, make_out_dir, write_csv, write_json
 from .dynamics import (
     DEFAULT_DECIMATION,
     DEFAULT_DT,
@@ -58,8 +59,8 @@ __all__ = [
     "emit_figure_data",
 ]
 
-#: Trajectories per chunk. Fixed by config, never by worker count: chunk
-#: boundaries are part of the reduction order and hence of the output bytes.
+#: Trajectories per chunk: the unit of work handed to a worker. Reductions
+#: run on the assembled ensemble, so the chunk size leaves the bytes alone.
 DEFAULT_CHUNK_SIZE = 300
 
 DEFAULT_N_TRAJ = 3600
@@ -70,12 +71,6 @@ VARIANCE_CSV_HEADER = "t,v_riccati,v_reconstructed,stderr"
 INFORMATION_CSV_HEADER = "t,i_dot,g_diff,bath_term"
 
 _PIPELINE_NAMES = ("reconstruct", "thermo", "fullmodel")
-
-_RUN_KEYS = {
-    "dt", "t_final", "n_traj", "master_seed", "decimation", "out_dir",
-    "mode", "pipelines", "n_display", "n_workers", "chunk_size",
-    "tail_fraction",
-}
 
 
 def default_params() -> PhysParams:
@@ -143,19 +138,15 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Flat mapping of every setting, for the manifest."""
-        p = self.params
-        out = {
-            "gamma_m": p.gamma_m, "n_th": p.n_th, "gamma_qba": p.gamma_qba,
-            "eta_det": p.eta_det, "omega_m": p.omega_m, "kappa": p.kappa,
-            "g": p.g, "delta": p.delta,
-            "dt": self.dt, "t_final": self.t_final, "n_traj": self.n_traj,
-            "master_seed": self.master_seed, "decimation": self.decimation,
-            "out_dir": self.out_dir, "mode": self.mode,
-            "pipelines": ",".join(self.pipelines),
-            "n_display": self.n_display, "n_workers": self.n_workers,
-            "chunk_size": self.chunk_size, "tail_fraction": self.tail_fraction,
-        }
+        out = asdict(self)
+        out.update(out.pop("params"))
+        out["pipelines"] = ",".join(self.pipelines)
         return out
+
+
+#: Run settings by name, with the type of their default (str, int, ...).
+_RUN_KEYS = {f.name: type(f.default) for f in fields(ExperimentConfig)
+             if f.name != "params"}
 
 
 def default_config(out_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -177,16 +168,10 @@ def config_from_mapping(raw: dict, **overrides) -> ExperimentConfig:
             run[key] = raw.pop(key)
     params = validate_params(raw) if raw else default_params()
 
-    def _f(key, conv):
-        if key in run:
-            run[key] = conv(run[key])
-
     try:
-        for key in ("dt", "t_final", "tail_fraction"):
-            _f(key, float)
-        for key in ("n_traj", "master_seed", "decimation", "n_display",
-                    "n_workers", "chunk_size"):
-            _f(key, int)
+        for key, kind in _RUN_KEYS.items():
+            if key in run and kind in (int, float):
+                run[key] = kind(run[key])
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in config: {exc}") from exc
     if "pipelines" in run:
@@ -233,19 +218,12 @@ class EnsembleBundle:
 
     def series(self) -> list:
         """The ensemble as one batched EntropySeries, for rate averaging."""
-        s_w, i_dot, g_diff = _shared_series(self.grid_out, self.v_out, self.params)
+        v, p = self.v_out, self.params
         return [EntropySeries(grid=self.grid_out, phi_c=self.phi_c, pi_c=self.pi_c,
-                              s_w=s_w, i_dot=i_dot, g_diff=g_diff,
+                              s_w=thermo.wigner_entropy(v),
+                              i_dot=thermo.information_rate(v, p),
+                              g_diff=thermo.differential_gain(v, p),
                               theta=self.theta)]
-
-
-def _shared_series(grid_out, v_out, p):
-    return (thermo.wigner_entropy(v_out), thermo.information_rate(v_out, p),
-            thermo.differential_gain(v_out, p))
-
-
-def _chunk_bounds(n_traj: int, chunk_size: int) -> list:
-    return [(a, min(a + chunk_size, n_traj)) for a in range(0, n_traj, chunk_size)]
 
 
 def _compute_chunk(args):
@@ -264,7 +242,7 @@ def _compute_chunk(args):
     r_dec = traj.r[:, sl, :].copy()
     theta = traj.v[sl] + 0.5 * np.sum(r_dec * r_dec, axis=-1)
     phi_c, pi_c = thermo.theta_rates(theta, traj.v[sl], p)
-    return (lo, traj.v[sl].copy(), r_dec, r_hat[:, sl, :].copy(),
+    return (traj.v[sl].copy(), r_dec, r_hat[:, sl, :].copy(),
             r_b[:, sl, :].copy(), theta, phi_c, pi_c, inv_max, photo_ok)
 
 
@@ -282,40 +260,35 @@ def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
     if n_traj < 2:
         raise ValidationError(f"collect_ensemble needs n_traj >= 2, got {n_traj}")
     v0 = derive_rates(p).v_uc
-    bounds = _chunk_bounds(n_traj, chunk_size)
-    jobs = [(p, grid, v0, master_seed, lo, hi, decimation, lo == 0)
-            for lo, hi in bounds]
+    jobs = [(p, grid, v0, master_seed, lo, min(lo + chunk_size, n_traj),
+             decimation, lo == 0) for lo in range(0, n_traj, chunk_size)]
     if n_workers == 0:
-        n_workers = os.cpu_count() or 1
+        n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_compute_chunk, jobs))
     else:
         results = [_compute_chunk(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
+    v_outs, r, r_hat, r_b, theta, phi_c, pi_c, inv_max, photo_ok = zip(*results)
 
-    v_out = results[0][1]
-    n_out = len(v_out) - 1
+    n_out = len(v_outs[0]) - 1
     grid_out = TimeGrid(t0=grid.t0, dt=grid.dt * decimation, n_steps=n_out)
-    lam = derive_rates(p).lambda_b
-    burn_out = math.ceil(10.0 / (lam * grid_out.dt))
-    valid_stop = max(n_out + 1 - burn_out, 0)
-
-    bundle = EnsembleBundle(
+    burn_out = estimation.burn_in_steps(p, grid_out.dt)
+    return EnsembleBundle(
         grid_out=grid_out,
-        v_out=v_out,
-        r=np.concatenate([res[2] for res in results]),
-        r_hat=np.concatenate([res[3] for res in results]),
-        r_b=np.concatenate([res[4] for res in results]),
-        theta=np.concatenate([res[5] for res in results]),
-        phi_c=np.concatenate([res[6] for res in results]),
-        pi_c=np.concatenate([res[7] for res in results]),
-        valid_stop=valid_stop,
-        inversion_max_abs=max(res[8] for res in results),
-        photocurrent_ok=all(res[9] for res in results),
+        v_out=v_outs[0],
+        r=np.concatenate(r),
+        r_hat=np.concatenate(r_hat),
+        r_b=np.concatenate(r_b),
+        theta=np.concatenate(theta),
+        phi_c=np.concatenate(phi_c),
+        pi_c=np.concatenate(pi_c),
+        valid_stop=max(n_out + 1 - burn_out, 0),
+        inversion_max_abs=max(inv_max),
+        photocurrent_ok=all(photo_ok),
         params=p,
     )
-    return bundle
 
 
 @dataclass
@@ -334,30 +307,6 @@ class RunResult:
     checks: dict
     files: dict
     wall_time_s: float
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_rows(path, header: str, columns) -> None:
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(n):
-            fh.write(",".join(_fmt(c[k]) for c in columns) + "\n")
-
-
-def _record(name, value, reference, tolerance):
-    scale = abs(reference) if reference != 0 else 1.0
-    return {
-        "name": name,
-        "value": float(value),
-        "reference": float(reference),
-        "tolerance": float(tolerance),
-        "pass": bool(abs(value - reference) <= tolerance * scale),
-    }
 
 
 class _Stage:
@@ -383,7 +332,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     it carries wall time and version strings).
     """
     t_start = time.monotonic()
-    os.makedirs(config.out_dir, exist_ok=True)
+    with _Stage("emit"):
+        make_out_dir(config.out_dir)
     p = config.params
     grid = config.grid()
     files: dict = {}
@@ -399,9 +349,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 decimation=config.decimation, chunk_size=config.chunk_size,
                 n_workers=config.n_workers,
             )
-        checks["invariants"].append(_record(
+        checks["invariants"].append(check_record(
             "photocurrent_identity", 1.0 if bundle.photocurrent_ok else 0.0, 1.0, 0.0))
-        checks["invariants"].append(_record(
+        checks["invariants"].append(check_record(
             "filter_inversion_max_abs", bundle.inversion_max_abs, 0.0, 1e-9))
 
     rates_d = derive_rates(p)
@@ -420,8 +370,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 np.abs(ev.v_d - (v_true + rates_d.v_ss
                                  + p.gamma_m / (4.0 * rates_d.gamma_meas)))
                 < 3.0 * ev.stderr))
-        checks["invariants"].append(_record("reconstruction_rms_rel", rms, 0.0, 5e-2))
-        checks["invariants"].append(_record("vd_identity_fraction", frac, 1.0, 1e-2))
+        checks["invariants"].append(check_record("reconstruction_rms_rel", rms, 0.0, 5e-2))
+        checks["invariants"].append(check_record("vd_identity_fraction", frac, 1.0, 1e-2))
         files["reconstruction.csv"] = emit_reconstruction(
             config.out_dir, ev, v_rec)
 
@@ -438,8 +388,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             z_theta = float(np.max(
                 np.abs(theta_mean[1:] - rates_d.v_uc) / theta_se[1:]))
             t0_dev = abs(float(theta_mean[0]) - rates_d.v_uc)
-        checks["invariants"].append(_record("theta_mean_max_z", z_theta, 0.0, 3.0))
-        checks["invariants"].append(_record("theta_mean_t0_abs_dev", t0_dev, 0.0, 1e-12))
+        checks["invariants"].append(check_record("theta_mean_max_z", z_theta, 0.0, 3.0))
+        checks["invariants"].append(check_record("theta_mean_t0_abs_dev", t0_dev, 0.0, 1e-12))
 
     if "fullmodel" in config.pipelines:
         with _Stage("check-fullmodel"):
@@ -460,9 +410,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             files["entropy_rates.csv"] = emit_figure_data(result, "fig2")
             files["information.csv"] = emit_figure_data(result, "fig3")
         checks_path = os.path.join(config.out_dir, "checks.json")
-        with open(checks_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(checks, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(checks_path, checks)
         files["checks.json"] = checks_path
 
     result.wall_time_s = time.monotonic() - t_start
@@ -478,9 +426,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "files": sorted(k for k in files),
     }
     manifest_path = os.path.join(config.out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     files["manifest.json"] = manifest_path
     result.files = files
     return result
@@ -515,8 +461,8 @@ def emit_figure_data(results: RunResult, which: str) -> str:
         ev = results.ev
         n = ev.grid.n_steps + 1
         path = os.path.join(cfg.out_dir, "variance.csv")
-        _write_rows(path, VARIANCE_CSV_HEADER,
-                    [ev.grid.times(), results.v_riccati[:n], results.v_rec, ev.stderr])
+        write_csv(path, VARIANCE_CSV_HEADER,
+                  [ev.grid.times(), results.v_riccati[:n], results.v_rec, ev.stderr])
         return path
     if which == "fig2":
         if results.rates is None:
@@ -531,7 +477,7 @@ def emit_figure_data(results: RunResult, which: str) -> str:
             cols.append(results.display_phi[j])
             cols.append(results.display_pi[j])
         path = os.path.join(cfg.out_dir, "entropy_rates.csv")
-        _write_rows(path, header, cols)
+        write_csv(path, header, cols)
         return path
     if which == "fig3":
         if results.v_riccati is None:
@@ -539,8 +485,8 @@ def emit_figure_data(results: RunResult, which: str) -> str:
         p = cfg.params
         v = results.v_riccati
         path = os.path.join(cfg.out_dir, "information.csv")
-        _write_rows(path, INFORMATION_CSV_HEADER,
-                    [results.grid_out.times(), thermo.information_rate(v, p),
-                     thermo.differential_gain(v, p), thermo.phonon_noise_rate(v, p)])
+        write_csv(path, INFORMATION_CSV_HEADER,
+                  [results.grid_out.times(), thermo.information_rate(v, p),
+                   thermo.differential_gain(v, p), thermo.phonon_noise_rate(v, p)])
         return path
     raise ValidationError(f"which must be fig1|fig2|fig3, got {which!r}")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import DomainError, ShapeError, StatisticsError
 from .dynamics import TimeGrid, Trajectory
 from .model import GaussianState, PhysParams, derive_rates
@@ -268,8 +269,4 @@ def write_rates_csv(path, rates: EnsembleRates) -> None:
     for c in cols:
         if np.shape(c) != t.shape:
             raise ShapeError("ensemble rate columns must match the grid length")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RATES_CSV_HEADER + "\n")
-        for k in range(len(t)):
-            row = (t[k],) + tuple(c[k] for c in cols)
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(path, RATES_CSV_HEADER, (t,) + cols)

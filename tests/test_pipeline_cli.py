@@ -193,6 +193,12 @@ class TestRunDeterminism:
         run_experiment(small_config(out_c, n_workers=2))
         assert _read_products(out_a) == _read_products(out_c)
 
+    def test_one_chunk_does_not_change_bytes(self, first_run, tmp_path):
+        out_a, _ = first_run
+        out_d = tmp_path / "run_d"
+        run_experiment(small_config(out_d, chunk_size=SMALL_RUN["n_traj"]))
+        assert _read_products(out_a) == _read_products(out_d)
+
     def test_csv_headers(self, first_run):
         out, _ = first_run
         def header(name):
@@ -330,6 +336,16 @@ class TestCli:
         assert "retrodyn: stage 'config':" in capsys.readouterr().err
         assert cli.main(["all", "--dt", "1e-5"]) == 2
         assert "too coarse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, stage", [("simulate", "simulate"),
+                                                ("check-fullmodel", "emit")])
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command, stage):
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        assert cli.main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"retrodyn: stage '{stage}':" in err
+        assert "cannot create output directory" in err
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--out", str(tmp_path / "r"),
