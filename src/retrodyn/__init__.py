@@ -16,6 +16,7 @@ from .errors import (
     NumericsError,
     ReconstructionError,
     RegimeError,
+    ResourceError,
     RetrodynError,
     ShapeError,
     StabilityError,

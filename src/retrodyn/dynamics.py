@@ -24,7 +24,14 @@ amplitude, so strong order 1 needs no Milstein correction.
 
 Wiener increments come from a counter-based generator (Philox) keyed by
 (seed, stream), making every (seed, stream, step, component) -> increment
-mapping reproducible regardless of scheduling or batching.
+mapping reproducible regardless of scheduling, batching or block size.
+
+The recurrences run time-major: a batch is laid out (steps, lanes, 2), so
+one step updates every lane in one contiguous row. The step helpers
+(_draw_increments, _synthesis_steps, _photocurrent) are the one
+implementation of the synthesis; simulate_batch runs them over the whole
+grid and returns lane-major arrays, and the ensemble kernel in
+retrodyn.pipeline runs them block by block.
 """
 
 from __future__ import annotations
@@ -204,28 +211,46 @@ def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _synthesize(p: PhysParams, grid: TimeGrid, v_nodes, v_mids, dw):
-    """Synthesis kernel of simulate_batch.
+def _mean_coefficients(p: PhysParams, dt: float, v_mids):
+    """(c, amp, efac) shared by the synthesis and the forward filter.
 
-    dw has shape (..., n_steps, 2); returns (r, idt_over_dt) with r of shape
-    (..., n_steps + 1, 2). Elementwise updates only, so batching does not
-    change any lane's bits.
+    c = sqrt(4 eta Gamma_qba) is the measurement strength, amp = c V_mid the
+    noise amplitude per step and efac = 1 - Gamma_m dt / 2 the drift factor.
     """
-    dt = grid.dt
     c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
-    amp = c * v_mids  # noise amplitude per step
-    efac = 1.0 - 0.5 * p.gamma_m * dt
-    lead = dw.shape[:-2]
-    n = grid.n_steps
-    r = np.zeros(lead + (n + 1, 2))
-    photo = np.empty_like(dw)
-    cur = r[..., 0, :]
-    for k in range(n):
-        dw_k = dw[..., k, :]
-        photo[..., k, :] = (c * cur * dt + dw_k) / dt
-        cur = cur * efac + amp[k] * dw_k
-        r[..., k + 1, :] = cur
-    return r, photo
+    return c, c * v_mids, 1.0 - 0.5 * p.gamma_m * dt
+
+
+def _draw_increments(gens, steps: int, dt: float) -> np.ndarray:
+    """Each lane's next steps x 2 increments, time-major (steps, lanes, 2).
+
+    Lane j reads the next normals of gens[j]; Philox draws no more than it
+    hands out, so a record drawn block by block is bit-identical to one
+    drawn in a single call.
+    """
+    lanes = np.empty((len(gens), steps, 2))
+    for j, gen in enumerate(gens):
+        gen.standard_normal(out=lanes[j])
+    lanes *= math.sqrt(dt)
+    return np.ascontiguousarray(lanes.swapaxes(0, 1))
+
+
+def _synthesis_steps(r, dw, amp, efac: float) -> None:
+    """Euler-Maruyama means over a time-major block, in place.
+
+    r has one row more than dw; r[0] holds the starting means and row k + 1
+    receives r[k] efac + amp[k] dw[k]. A row holds every lane, so one step
+    is one vectorized update of the whole batch.
+    """
+    cur = r[0]
+    for k, (a, d) in enumerate(zip(amp, dw), 1):
+        cur = cur * efac + a * d
+        r[k] = cur
+
+
+def _photocurrent(r_start, dw, c: float, dt: float):
+    """Homodyne record (c r dt + dw) / dt of the steps starting at r_start."""
+    return (c * r_start * dt + dw) / dt
 
 
 def simulate_trajectory(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
@@ -253,17 +278,20 @@ def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
     streams is a sequence of stream indices; the returned Trajectory holds
     stacked arrays with a leading batch axis (r has shape (m, n+1, 2)).
     Lane j is bit-identical to simulate_trajectory(..., stream=streams[j]).
+    The steps run time-major internally; the arrays are returned lane-major.
     """
     streams = list(streams)
     if not streams:
         raise ValidationError("simulate_batch needs at least one stream index")
     v_nodes = solve_conditional_variance(p, grid, v0)
-    v_mids = conditional_variance_midpoints(p, v_nodes, grid.dt)
-    dw = np.empty((len(streams), grid.n_steps, 2))
-    for j, s in enumerate(streams):
-        gen = trajectory_rng(seed, s)
-        dw[j] = gen.standard_normal((grid.n_steps, 2)) * math.sqrt(grid.dt)
-    r, photo = _synthesize(p, grid, v_nodes, v_mids, dw)
+    c, amp, efac = _mean_coefficients(
+        p, grid.dt, conditional_variance_midpoints(p, v_nodes, grid.dt))
+    gens = [trajectory_rng(seed, s) for s in streams]
+    dw = _draw_increments(gens, grid.n_steps, grid.dt)
+    r = np.zeros((grid.n_steps + 1, len(streams), 2))
+    _synthesis_steps(r, dw, amp, efac)
+    photo = _photocurrent(r[:-1], dw, c, grid.dt)
+    r, dw, photo = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (r, dw, photo))
     return Trajectory(grid=grid, r=r, v=v_nodes, dw=dw, photocurrent=photo,
                       seed=seed, stream=streams[0])
 

@@ -54,3 +54,7 @@ class StabilityError(RetrodynError):
 
 class ModelError(RetrodynError):
     """A Gaussian model is structurally inconsistent (e.g. channel support mismatch)."""
+
+
+class ResourceError(RetrodynError):
+    """The operating system refused a resource: a file, memory or a worker process."""

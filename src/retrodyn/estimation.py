@@ -26,6 +26,12 @@ so the conditional variance V(t) is recoverable from ensemble statistics of
 filtered records alone, without access to the underlying states. That
 reconstruction, with either the exact offset or the large-cooperativity
 shortcut V_ss ~ V_d(inf) / 2, is what reconstruct_conditional_variance does.
+
+Both filters have one implementation, the time-major step helpers
+_forward_steps and _backward_steps over (steps, lanes, 2) blocks.
+forward_filter and backward_filter move the time axis to the front, run
+them over the whole record and move it back; the ensemble kernel in
+retrodyn.pipeline runs them block by block.
 """
 
 from __future__ import annotations
@@ -43,7 +49,13 @@ from .errors import (
     StatisticsError,
     ValidationError,
 )
-from .dynamics import TimeGrid, Trajectory, conditional_variance_midpoints, solve_conditional_variance
+from .dynamics import (
+    TimeGrid,
+    Trajectory,
+    _mean_coefficients,
+    conditional_variance_midpoints,
+    solve_conditional_variance,
+)
 from .model import DerivedRates, PhysParams, derive_rates
 
 __all__ = [
@@ -108,6 +120,16 @@ def _resolve_variance(p: PhysParams, grid: TimeGrid, v_series) -> tuple[np.ndarr
     return v_nodes, conditional_variance_midpoints(p, v_nodes, grid.dt)
 
 
+def _time_major_increments(photocurrent, grid: TimeGrid) -> np.ndarray:
+    """Record increments i dt, shape-checked, as a C-ordered (n_steps, ..., 2) array."""
+    i = np.asarray(photocurrent, dtype=float)
+    if i.shape[-2:] != (grid.n_steps, 2):
+        raise ShapeError(
+            f"photocurrent shape {i.shape} does not match grid with {grid.n_steps} steps"
+        )
+    return np.ascontiguousarray(np.moveaxis(i, -2, 0)) * grid.dt
+
+
 def forward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
                    v_series=None, r0=None) -> np.ndarray:
     """Run the prediction filter over a photocurrent record.
@@ -126,26 +148,40 @@ def forward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
 
     Returns the estimate at the nodes, shape (..., n_steps + 1, 2).
     """
-    i = np.asarray(photocurrent, dtype=float)
-    if i.shape[-2:] != (grid.n_steps, 2):
-        raise ShapeError(
-            f"photocurrent shape {i.shape} does not match grid with {grid.n_steps} steps"
-        )
+    idt = _time_major_increments(photocurrent, grid)
     _, v_mids = _resolve_variance(p, grid, v_series)
-    dt = grid.dt
-    c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
-    amp = c * v_mids
-    efac = 1.0 - 0.5 * p.gamma_m * dt
-    out = np.zeros(i.shape[:-2] + (grid.n_steps + 1, 2))
+    c, amp, efac = _mean_coefficients(p, grid.dt, v_mids)
+    out = np.zeros((grid.n_steps + 1,) + idt.shape[1:])
     if r0 is not None:
-        out[..., 0, :] = np.asarray(r0, dtype=float)
-    cur = out[..., 0, :].copy()
-    for k in range(grid.n_steps):
-        idt = i[..., k, :] * dt
-        # algebraically (1 - Gamma_m dt/2 - 4 Gamma_meas V dt) r + amp * i dt
-        cur = cur * efac + amp[k] * (idt - c * cur * dt)
-        out[..., k + 1, :] = cur
-    return out
+        out[0] = np.asarray(r0, dtype=float)
+    _forward_steps(out, idt, amp, efac, c, grid.dt)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -2))
+
+
+def _forward_steps(r_hat, idt, amp, efac: float, c: float, dt: float) -> None:
+    """Prediction filter over a time-major block of records i dt, in place.
+
+    r_hat has one row more than idt; r_hat[0] holds the starting estimate.
+    Algebraically r_hat[k+1] = (1 - Gamma_m dt/2 - 4 Gamma_meas V dt) r_hat[k]
+    + amp[k] i[k] dt.
+    """
+    cur = r_hat[0]
+    for k, (a, x) in enumerate(zip(amp, idt), 1):
+        cur = cur * efac + a * (x - c * cur * dt)
+        r_hat[k] = cur
+
+
+def _backward_steps(r_b, bidt, afac: float) -> None:
+    """Retrodiction filter over a time-major block, in reverse time, in place.
+
+    r_b has one row more than bidt; r_b[-1] holds the terminal estimate and
+    row k receives r_b[k+1] afac + bidt[k], where bidt = sqrt(4 Gamma_meas)
+    V_E i dt.
+    """
+    cur = r_b[-1]
+    for k in range(len(bidt) - 1, -1, -1):
+        cur = cur * afac + bidt[k]
+        r_b[k] = cur
 
 
 def _retrodiction_rates(p: PhysParams) -> DerivedRates:
@@ -178,22 +214,17 @@ def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
     terminal burn-in window (the last ceil(10/(lambda dt)) steps) still carry
     the arbitrary terminal condition; burn_in_steps gives the cutoff.
     """
-    i = np.asarray(photocurrent, dtype=float)
-    if i.shape[-2:] != (grid.n_steps, 2):
-        raise ShapeError(
-            f"photocurrent shape {i.shape} does not match grid with {grid.n_steps} steps"
-        )
+    idt = _time_major_increments(photocurrent, grid)
+    afac, bcoef = _backward_coefficients(p, grid.dt)
+    out = np.zeros((grid.n_steps + 1,) + idt.shape[1:])
+    _backward_steps(out, bcoef * idt, afac)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -2))
+
+
+def _backward_coefficients(p: PhysParams, dt: float) -> tuple[float, float]:
+    """(1 - lambda dt, sqrt(4 Gamma_meas) V_E) of the retrodiction recursion."""
     rates = _retrodiction_rates(p)
-    lam = rates.lambda_b
-    dt = grid.dt
-    afac = 1.0 - lam * dt
-    bcoef = math.sqrt(4.0 * rates.gamma_meas) * rates.v_e
-    out = np.zeros(i.shape[:-2] + (grid.n_steps + 1, 2))
-    cur = out[..., -1, :].copy()
-    for k in range(grid.n_steps - 1, -1, -1):
-        cur = cur * afac + bcoef * (i[..., k, :] * dt)
-        out[..., k, :] = cur
-    return out
+    return 1.0 - rates.lambda_b * dt, math.sqrt(4.0 * rates.gamma_meas) * rates.v_e
 
 
 def filter_record(photocurrent, p: PhysParams, grid: TimeGrid,

@@ -4,12 +4,13 @@ reproducibility of the data products, stage naming, and exit codes."""
 import json
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import retrodyn as rd
-from retrodyn import cli
+from retrodyn import cli, dynamics, pipeline
 from retrodyn.pipeline import (
     INFORMATION_CSV_HEADER,
     VARIANCE_CSV_HEADER,
@@ -158,6 +159,103 @@ class TestEnsembleBundle:
         np.testing.assert_array_equal(series.theta, b.theta)
         np.testing.assert_array_equal(
             series.i_dot, rd.information_rate(b.v_out, params))
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BLOCK = pipeline._BLOCK_STEPS
+
+
+class TestChunkKernel:
+    """The fused time-major chunk kernel against the lane-major public path."""
+
+    @pytest.mark.parametrize("n_steps, decimation, n_traj, chunk_size", [
+        (2 * BLOCK + 500, 10, 5, 2),   # ragged last block, 1-lane last chunk
+        (BLOCK // 3, 10, 4, 4),        # shorter than one block
+        (BLOCK + 503, 7, 4, 3),        # decimation does not divide n_steps
+        (BLOCK, 10, 3, 1),             # 1-lane chunks, exactly one block
+    ])
+    def test_matches_public_lane_path(self, params, n_steps, decimation, n_traj,
+                                      chunk_size):
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=n_steps)
+        b = collect_ensemble(params, g, n_traj, 21, decimation=decimation,
+                             chunk_size=chunk_size)
+        traj = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 21,
+                                 range(n_traj))
+        r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
+        r_b = rd.backward_filter(traj.photocurrent, params, g)
+        sl = slice(None, None, decimation)
+        assert _bitwise_equal(b.r, traj.r[:, sl])
+        assert _bitwise_equal(b.r_hat, r_hat[:, sl])
+        assert _bitwise_equal(b.r_b, r_b[:, sl])
+        assert _bitwise_equal(b.v_out, traj.v[sl])
+        theta = traj.v[sl] + 0.5 * np.sum(traj.r[:, sl] ** 2, axis=-1)
+        assert _bitwise_equal(b.theta, theta)
+        assert b.inversion_max_abs == float(np.max(np.abs(r_hat - traj.r)))
+        assert b.photocurrent_ok
+
+    def test_one_riccati_solve_per_ensemble(self, params, monkeypatch):
+        calls = []
+        solve = dynamics.solve_conditional_variance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_conditional_variance", counting)
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
+        collect_ensemble(params, g, 7, 3, decimation=5, chunk_size=2, n_workers=1)
+        assert len(calls) == 1
+
+    def test_without_retrodiction(self, params):
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
+        full = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=3)
+        fwd = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=3,
+                               retrodict=False)
+        assert fwd.r_b is None and fwd.valid_stop is None
+        assert _bitwise_equal(fwd.r_hat, full.r_hat)
+        assert _bitwise_equal(fwd.theta, full.theta)
+        with pytest.raises(rd.ValidationError, match="retrodiction"):
+            fwd.paths()
+
+
+class TestUnmonitored:
+    """eta_det = 0: the thermo pipeline runs with unconditional dynamics."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
+        cfg = rd.ExperimentConfig(params=p, out_dir=str(tmp_path_factory.mktemp("eta0")),
+                                  n_traj=20, t_final=4e-4, chunk_size=8,
+                                  n_workers=1, pipelines=("thermo",))
+        return p, run_experiment(cfg)
+
+    def test_checks_pass_without_nan(self, run):
+        _, result = run
+        for rec in result.checks["invariants"]:
+            assert rec["pass"] and math.isfinite(rec["value"]), rec
+        by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
+        assert by_name["theta_mean_max_z"] == 0.0
+
+    def test_rates_are_the_unconditional_ones(self, run):
+        p, result = run
+        rates = result.rates
+        phi_uc, pi_uc = rd.unconditional_rates(p, rd.derive_rates(p).v_uc)
+        np.testing.assert_allclose(rates.phi_c, phi_uc, rtol=1e-12)
+        np.testing.assert_allclose(rates.pi_c, pi_uc, rtol=1e-12)
+        np.testing.assert_allclose(rates.pi_c, rd.ness_production_rate(p), rtol=1e-12)
+        np.testing.assert_allclose(rates.phi_c, -rates.pi_c, rtol=1e-12)
+        assert np.all(rates.g_diff == 0.0)
+        assert np.max(np.abs(rates.i_dot)) <= 1e-12 * abs(pi_uc)
+
+    def test_cli_thermo_exits_0(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "eta0.cfg", (
+            "gamma_m_hz = 19\nn_th = 14\ngamma_qba_hz = 360\neta_det = 0\n"
+            "n_traj = 8\nt_final = 2e-4\nn_workers = 1\n"))
+        assert cli.main(["thermo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "entropy_rates.csv").exists()
 
 
 def _read_products(out_dir):
@@ -346,6 +444,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"retrodyn: stage '{stage}':" in err
         assert "cannot create output directory" in err
+
+    def test_unwritable_product_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rec"
+        (out / "variance.csv").mkdir(parents=True)
+        code = cli.main(["reconstruct", "--out", str(out), "--trajectories", "4",
+                         "--dt", "2e-7", "--t-final", "4e-3", "--seed", "77"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "retrodyn: stage 'emit': IsADirectoryError" in err
+
+    @pytest.mark.parametrize("exc", [BrokenProcessPool("a worker died"),
+                                     MemoryError("out of memory")])
+    def test_pool_failure_exits_1(self, tmp_path, capsys, monkeypatch, exc):
+        class FailingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                raise exc
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FailingPool)
+        cfg = _write_cfg(tmp_path / "pool.cfg",
+                         "n_workers = 2\nchunk_size = 2\nn_traj = 4\nt_final = 1e-4\n")
+        assert cli.main(["thermo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"retrodyn: stage 'simulate': {type(exc).__name__}" in err
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--out", str(tmp_path / "r"),
