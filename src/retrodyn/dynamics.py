@@ -232,7 +232,10 @@ def _draw_increments(gens, steps: int, dt: float) -> np.ndarray:
     for j, gen in enumerate(gens):
         gen.standard_normal(out=lanes[j])
     lanes *= math.sqrt(dt)
-    return np.ascontiguousarray(lanes.swapaxes(0, 1))
+    # Transpose each lane's (x, y) pair as one 16-byte element: a copy of
+    # half as many, twice as wide elements as swapping the float axes.
+    pairs = np.ascontiguousarray(lanes.view(np.complex128)[..., 0].T)
+    return pairs.view(np.float64).reshape(steps, len(gens), 2)
 
 
 def _synthesis_steps(r, dw, amp, efac: float) -> None:
@@ -251,6 +254,12 @@ def _synthesis_steps(r, dw, amp, efac: float) -> None:
 def _photocurrent(r_start, dw, c: float, dt: float):
     """Homodyne record (c r dt + dw) / dt of the steps starting at r_start."""
     return (c * r_start * dt + dw) / dt
+
+
+def _recovered_increments(photo, r_start, c: float, dt: float):
+    """Wiener increments i dt - c r dt recovered from a record, the inverse
+    of _photocurrent up to round-off."""
+    return photo * dt - c * r_start * dt
 
 
 def simulate_trajectory(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
@@ -350,6 +359,6 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
     if not np.all(np.isfinite(photo)):
         raise ShapeError(f"{path}: non-finite photocurrent before the terminal row")
     c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
-    dw = photo * grid.dt - c * r[:-1] * grid.dt
+    dw = _recovered_increments(photo, r[:-1], c, grid.dt)
     return Trajectory(grid=grid, r=r, v=v, dw=dw, photocurrent=photo,
                       seed=-1, stream=0)

@@ -242,23 +242,41 @@ def filter_trajectory(traj: Trajectory, p: PhysParams) -> FilteredPath:
     return filter_record(traj.photocurrent, p, traj.grid, v_series=traj.v)
 
 
-def _stack_paths(paths) -> tuple[TimeGrid, np.ndarray, np.ndarray, tuple[int, int]]:
-    paths = list(paths)
-    if not paths:
-        raise StatisticsError("difference_variance needs at least 2 paths, got 0")
-    grid = paths[0].grid
-    lo, hi = paths[0].valid_range
-    r_hat, r_b = [], []
-    for path in paths:
-        if path.grid != grid:
-            raise ShapeError("all FilteredPaths must share one grid")
-        lo = max(lo, path.valid_range[0])
-        hi = min(hi, path.valid_range[1])
-        rh = path.r_hat if path.r_hat.ndim == 3 else path.r_hat[None]
-        rb = path.r_b if path.r_b.ndim == 3 else path.r_b[None]
-        r_hat.append(rh)
-        r_b.append(rb)
-    return grid, np.concatenate(r_hat), np.concatenate(r_b), (lo, hi)
+class _LaneMoments:
+    """Running count, mean and M2 (summed squared deviations) over lanes.
+
+    Welford's update (Technometrics 4, 1962) folds one lane at a time, in
+    the order the lanes are given, so the moments of an ensemble depend on
+    its lane order only, never on how the lanes were batched, chunked or
+    scheduled. Every reduction over an ensemble goes through this fold.
+    It runs on the lanes minus the first lane, which keeps the deviations
+    small where the mean is large against the spread; lanes of identical
+    values give that value exactly as the mean and M2 == 0 exactly.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.shift = self.shifted_mean = self.m2 = None
+
+    def fold(self, lanes) -> None:
+        """Fold lanes[0], lanes[1], ... (the leading axis) in order."""
+        for x in np.ascontiguousarray(lanes):
+            if self.shift is None:
+                self.shift = x.copy()
+                self.shifted_mean, self.m2 = np.zeros_like(x), np.zeros_like(x)
+            self.count += 1
+            y = x - self.shift
+            delta = y - self.shifted_mean
+            self.shifted_mean += delta / self.count
+            self.m2 += delta * (y - self.shifted_mean)
+
+    def mean(self) -> np.ndarray:
+        """Sample mean, the shift added back."""
+        return self.shift + self.shifted_mean
+
+    def variance(self) -> np.ndarray:
+        """Sample variance M2 / (count - 1)."""
+        return self.m2 / (self.count - 1)
 
 
 def difference_variance(paths) -> EnsembleVariance:
@@ -266,22 +284,40 @@ def difference_variance(paths) -> EnsembleVariance:
 
     paths is a collection of FilteredPath on one common grid (batched paths
     count each lane as one sample). The ensemble mean is subtracted even
-    though it vanishes in theory; sums over the ensemble use pairwise
-    reduction (numpy), so the result does not depend on worker scheduling
-    upstream.
+    though it vanishes in theory. Lanes are folded one by one in the order
+    given (_LaneMoments), so the result does not depend on how the lanes
+    were batched or scheduled upstream; paths may be a generator.
     """
-    grid, r_hat, r_b, (lo, hi) = _stack_paths(paths)
-    n_paths = r_hat.shape[0]
-    if n_paths < 2:
-        raise StatisticsError(f"difference_variance needs at least 2 paths, got {n_paths}")
-    if hi - lo < 1:
+    moments = _LaneMoments()
+    grid, lo, hi = None, 0, math.inf
+    for path in paths:
+        if grid is None:
+            grid = path.grid
+        elif path.grid != grid:
+            raise ShapeError("all FilteredPaths must share one grid")
+        lo = max(lo, path.valid_range[0])
+        hi = min(hi, path.valid_range[1])
+        d = path.r_hat - path.r_b
+        # The window is applied after the fold: each node's moments are
+        # independent of the others', so the bits are the same.
+        moments.fold(d if d.ndim == 3 else d[None])
+    if moments.count < 2:
+        raise StatisticsError(
+            f"difference_variance needs at least 2 paths, got {moments.count}")
+    return _pooled_difference_variance(moments.variance()[lo:hi], moments.count,
+                                       grid, lo)
+
+
+def _pooled_difference_variance(var_q, n_paths: int, grid: TimeGrid,
+                                lo: int) -> EnsembleVariance:
+    """EnsembleVariance from the per-quadrature sample variance var_q of d
+    on the window of nodes lo <= k < lo + len(var_q) of grid."""
+    if len(var_q) < 1:
         raise StatisticsError("no valid window is left after the backward burn-in")
-    d = r_hat[:, lo:hi, :] - r_b[:, lo:hi, :]
-    var_q = d.var(axis=0, ddof=1)          # per-quadrature, mean subtracted
     v_d = var_q.mean(axis=1)               # pooled over the two quadratures
     n_samples = 2 * n_paths
     stderr = v_d * math.sqrt(2.0 / (n_samples - 1))
-    sub = TimeGrid(t0=grid.t0 + lo * grid.dt, dt=grid.dt, n_steps=hi - lo - 1)
+    sub = TimeGrid(t0=grid.t0 + lo * grid.dt, dt=grid.dt, n_steps=len(var_q) - 1)
     return EnsembleVariance(grid=sub, v_d=v_d, n_samples=n_samples, stderr=stderr)
 
 

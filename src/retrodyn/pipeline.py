@@ -11,11 +11,15 @@ run_experiment turns a configuration into the figure-ready data products:
 
 Everything except manifest.json is a pure function of the configuration:
 trajectories are keyed (master_seed, stream) with stream = trajectory index,
-chunks are copied into preallocated ensemble arrays at their index range,
-and every ensemble reduction runs on the assembled arrays, so byte-identical
+and every ensemble reduction is a lane-order fold: chunk results arrive in
+stream-index order and each is folded lane by lane into per-node running
+moments (count, mean, M2; Welford's update), then dropped. The fold is the
+one difference_variance and ensemble_average_rates run, so a run's products
+equal theirs on the stacked collect_ensemble bit for bit; byte-identical
 files come out regardless of how many workers run the chunks and how large
-the chunks are. The manifest records wall time and library versions and is
-the one file expected to differ between reruns.
+the chunks are, and memory does not grow with the ensemble size. The
+manifest records wall time and library versions and is the one file
+expected to differ between reruns.
 
 The Riccati series is solved once per ensemble and shared by every chunk.
 A chunk runs as one time-major pass over blocks of steps, laid out
@@ -35,7 +39,8 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from . import dynamics, estimation, thermo
 from ._io import check_record, make_out_dir, write_csv, write_json
 from .dynamics import DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, TimeGrid, check_grid
 from .errors import ConfigError, ResourceError, RetrodynError, ValidationError
-from .estimation import EnsembleVariance, FilteredPath
+from .estimation import EnsembleVariance, FilteredPath, _LaneMoments
 from .fullmodel import adiabatic_consistency_check
 from .model import PhysParams, derive_rates, load_config, validate_params
 from .thermo import EnsembleRates, EntropySeries
@@ -62,12 +67,17 @@ __all__ = [
 ]
 
 #: Trajectories per chunk: the unit of work handed to a worker. Reductions
-#: run on the assembled ensemble, so the chunk size leaves the bytes alone.
+#: fold lane by lane in stream-index order, so the chunk size leaves the
+#: bytes alone.
 DEFAULT_CHUNK_SIZE = 300
 
 #: Steps per time-major block of the chunk kernel: a block's draws for 300
 #: lanes (about 5 MB) stay cache-sized. Leaves the bytes alone.
 _BLOCK_STEPS = 1000
+
+#: Bound on the photocurrent_identity check value (a round-off residual
+#: in units of sqrt(dt); about 1e-15 on intact records).
+PHOTOCURRENT_TOL = 1e-12
 
 DEFAULT_N_TRAJ = 3600
 DEFAULT_MASTER_SEED = 1234
@@ -203,6 +213,9 @@ class EnsembleBundle:
     shape (n_traj, n_out + 1, 2); theta, phi_c, pi_c have (n_traj, n_out + 1).
     grid_out is the decimated grid; v_out the Riccati solution on it. r_b
     and valid_stop are None for an ensemble collected without retrodiction.
+    photocurrent_residual is max |i dt - c r dt - dw| / sqrt(dt) over the
+    first chunk: the increments recovered from the photocurrent, as
+    read_trajectory_csv recovers them, against the Philox draws.
     """
 
     grid_out: TimeGrid
@@ -215,8 +228,13 @@ class EnsembleBundle:
     pi_c: np.ndarray
     valid_stop: int | None
     inversion_max_abs: float
-    photocurrent_ok: bool
+    photocurrent_residual: float
     params: PhysParams
+
+    @property
+    def photocurrent_ok(self) -> bool:
+        """The photocurrent_identity check: the recovered increments match the draws."""
+        return self.photocurrent_residual <= PHOTOCURRENT_TOL
 
     def paths(self) -> list:
         """The ensemble as one batched FilteredPath, for difference_variance."""
@@ -252,7 +270,9 @@ def _compute_chunk(args):
     full-resolution array, sqrt(4 Gamma_meas) V_E i dt, is turned into r_b
     in place by the retrodiction pass after the last block. Every lane's
     bits equal the lane-major public path (simulate_batch, forward_filter,
-    backward_filter).
+    backward_filter). With check_photo the chunk also returns
+    max |i dt - c r dt - dw| / sqrt(dt), the increments recovered from the
+    photocurrent against the draws (0.0 without).
 
     Top-level so process pools can pickle it. Results depend only on args,
     never on which worker runs them.
@@ -270,7 +290,7 @@ def _compute_chunk(args):
         bidt = np.zeros((n + 1, lanes, 2))  # row n: the terminal r_b = 0
     r = np.zeros((_BLOCK_STEPS + 1, lanes, 2))
     r_hat = np.zeros((_BLOCK_STEPS + 1, lanes, 2))
-    inv_max, photo_ok = 0.0, True
+    inv_max, photo_err = 0.0, 0.0
     for s0 in range(0, n, _BLOCK_STEPS):
         s1 = min(s0 + _BLOCK_STEPS, n)
         m = s1 - s0
@@ -278,12 +298,8 @@ def _compute_chunk(args):
         dynamics._synthesis_steps(r[:m + 1], dw, amp[s0:s1], efac)
         photo = dynamics._photocurrent(r[:m], dw, c, dt)
         if check_photo:
-            block = dynamics.Trajectory(
-                grid=TimeGrid(t0=grid.t0 + s0 * dt, dt=dt, n_steps=m),
-                r=r[:m + 1].swapaxes(0, 1), v=v_nodes[s0:s1 + 1],
-                dw=dw.swapaxes(0, 1), photocurrent=photo.swapaxes(0, 1),
-                seed=master_seed, stream=lo)
-            photo_ok &= dynamics.verify_photocurrent_identity(block, p)
+            dw_rec = dynamics._recovered_increments(photo, r[:m], c, dt)
+            photo_err = np.maximum(photo_err, np.abs(dw_rec - dw, out=dw_rec).max())
         idt = photo * dt
         estimation._forward_steps(r_hat[:m + 1], idt, amp[s0:s1], efac, c, dt)
         diff = r_hat[1:m + 1] - r[1:m + 1]
@@ -301,7 +317,48 @@ def _compute_chunk(args):
     v_out = v_nodes[::decim, None]
     theta = v_out + 0.5 * np.sum(r_dec * r_dec, axis=-1)
     phi_c, pi_c = thermo.theta_rates(theta, v_out, p)
-    return r_dec, rh_dec, rb_dec, theta, phi_c, pi_c, float(inv_max), photo_ok
+    return (r_dec, rh_dec, rb_dec, theta, phi_c, pi_c, float(inv_max),
+            float(photo_err) / math.sqrt(dt))
+
+
+def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
+                     decimation: int, chunk_size: int, n_workers: int,
+                     retrodict: bool):
+    """Run a seeded ensemble chunk by chunk, in stream-index order.
+
+    Returns (grid_out, v_out, valid_stop, chunks). The Riccati series is
+    solved once and shared by every chunk; chunks yields ((lo, hi), result
+    of _compute_chunk) for lanes lo <= j < hi in increasing lo, whether the
+    chunks run here or, for n_workers > 1, in a process pool.
+    """
+    if n_traj < 2:
+        raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
+    v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
+    v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
+    bounds = [(lo, min(lo + chunk_size, n_traj)) for lo in range(0, n_traj, chunk_size)]
+    jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, retrodict,
+             lo == 0) for lo, hi in bounds]
+    n_out = grid.n_steps // decimation
+    grid_out = TimeGrid(t0=grid.t0, dt=grid.dt * decimation, n_steps=n_out)
+    valid_stop = (max(n_out + 1 - estimation.burn_in_steps(p, grid_out.dt), 0)
+                  if retrodict else None)
+    if n_workers == 0:
+        n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+
+    def chunks():
+        with ExitStack() as stack:
+            if n_workers > 1 and len(jobs) > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
+                results = pool.map(_compute_chunk, jobs)
+            else:
+                results = map(_compute_chunk, jobs)
+            # A fresh pair per chunk: zip would hold the previous chunk's
+            # arrays in its reused result tuple while the next one runs.
+            for lo, hi in bounds:
+                yield (lo, hi), next(results)
+
+    return grid_out, v_nodes[::decimation].copy(), valid_stop, chunks()
 
 
 def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
@@ -318,43 +375,82 @@ def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
     retrodict=False skips the backward filter (r_b and valid_stop are then
     None), which is what the measurement-off limit eta_det = 0 needs.
     """
-    if n_traj < 2:
-        raise ValidationError(f"collect_ensemble needs n_traj >= 2, got {n_traj}")
-    v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
-    v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
-    bounds = [(lo, min(lo + chunk_size, n_traj)) for lo in range(0, n_traj, chunk_size)]
-    jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, retrodict,
-             lo == 0) for lo, hi in bounds]
-    n_out = grid.n_steps // decimation
-    grid_out = TimeGrid(t0=grid.t0, dt=grid.dt * decimation, n_steps=n_out)
+    grid_out, v_out, valid_stop, chunks = _ensemble_chunks(
+        p, grid, n_traj, master_seed, decimation, chunk_size, n_workers, retrodict)
+    shape = (n_traj, grid_out.n_steps + 1)
     bundle = EnsembleBundle(
-        grid_out=grid_out, v_out=v_nodes[::decimation].copy(),
-        r=np.empty((n_traj, n_out + 1, 2)), r_hat=np.empty((n_traj, n_out + 1, 2)),
-        r_b=np.empty((n_traj, n_out + 1, 2)) if retrodict else None,
-        theta=np.empty((n_traj, n_out + 1)), phi_c=np.empty((n_traj, n_out + 1)),
-        pi_c=np.empty((n_traj, n_out + 1)),
-        valid_stop=(max(n_out + 1 - estimation.burn_in_steps(p, grid_out.dt), 0)
-                    if retrodict else None),
-        inversion_max_abs=0.0, photocurrent_ok=True, params=p)
-    if n_workers == 0:
-        n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-
-    def assemble(results):
-        for (lo, hi), (*lane_data, inv_max, photo_ok) in zip(bounds, results):
-            for name, part in zip(("r", "r_hat", "r_b", "theta", "phi_c", "pi_c"),
-                                  lane_data):
-                if part is not None:
-                    getattr(bundle, name)[lo:hi] = part.swapaxes(0, 1)
-            bundle.inversion_max_abs = float(np.maximum(bundle.inversion_max_abs, inv_max))
-            bundle.photocurrent_ok &= photo_ok
-
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            assemble(pool.map(_compute_chunk, jobs))
-    else:
-        assemble(map(_compute_chunk, jobs))
+        grid_out=grid_out, v_out=v_out,
+        r=np.empty(shape + (2,)), r_hat=np.empty(shape + (2,)),
+        r_b=np.empty(shape + (2,)) if retrodict else None,
+        theta=np.empty(shape), phi_c=np.empty(shape), pi_c=np.empty(shape),
+        valid_stop=valid_stop, inversion_max_abs=0.0, photocurrent_residual=0.0,
+        params=p)
+    for (lo, hi), (*lane_data, inv_max, photo_err) in chunks:
+        for name, part in zip(("r", "r_hat", "r_b", "theta", "phi_c", "pi_c"),
+                              lane_data):
+            if part is not None:
+                getattr(bundle, name)[lo:hi] = part.swapaxes(0, 1)
+        bundle.inversion_max_abs = float(np.maximum(bundle.inversion_max_abs, inv_max))
+        bundle.photocurrent_residual = float(np.maximum(bundle.photocurrent_residual,
+                                                        photo_err))
     return bundle
+
+
+@dataclass
+class _EnsembleMoments:
+    """What a run keeps of its ensemble: per-node lane moments, the first
+    display lanes of the rates and the kernel's check values.
+
+    d holds the moments of r_hat - r_b on the valid window (nodes
+    0 <= k < valid_stop); it stays empty without retrodiction.
+    """
+
+    grid_out: TimeGrid
+    v_out: np.ndarray
+    valid_stop: int | None
+    display_phi: np.ndarray
+    display_pi: np.ndarray
+    d: _LaneMoments = field(default_factory=_LaneMoments)
+    theta: _LaneMoments = field(default_factory=_LaneMoments)
+    phi_c: _LaneMoments = field(default_factory=_LaneMoments)
+    pi_c: _LaneMoments = field(default_factory=_LaneMoments)
+    inversion_max_abs: float = 0.0
+    photocurrent_residual: float = 0.0
+
+    def fold(self, lo, hi, _, r_hat, r_b, theta, phi_c, pi_c, inv_max, photo_err):
+        """Fold one chunk's result (_compute_chunk) for lanes lo <= j < hi."""
+        if r_b is not None:
+            stop = self.valid_stop
+            self.d.fold((r_hat[:stop] - r_b[:stop]).swapaxes(0, 1))
+        self.theta.fold(theta.T)
+        self.phi_c.fold(phi_c.T)
+        self.pi_c.fold(pi_c.T)
+        k = max(min(hi, len(self.display_phi)) - lo, 0)
+        self.display_phi[lo:lo + k] = phi_c[:, :k].T
+        self.display_pi[lo:lo + k] = pi_c[:, :k].T
+        self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
+        self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
+                                                      photo_err))
+
+
+def _stream_ensemble(config: ExperimentConfig, retrodict: bool) -> _EnsembleMoments:
+    """Fold the run's ensemble into per-node moments, chunk by chunk.
+
+    Each chunk is folded lane by lane in stream-index order as it arrives
+    and then dropped, so memory does not grow with n_traj. The fold is the
+    one difference_variance and ensemble_average_rates use, so the moments
+    equal theirs bit for bit on the stacked ensemble of collect_ensemble.
+    """
+    grid_out, v_out, valid_stop, chunks = _ensemble_chunks(
+        config.params, config.grid(), config.n_traj, config.master_seed,
+        config.decimation, config.chunk_size, config.n_workers, retrodict)
+    display = (min(config.n_display, config.n_traj), grid_out.n_steps + 1)
+    ens = _EnsembleMoments(grid_out, v_out, valid_stop, np.empty(display),
+                           np.empty(display))
+    for (lo, hi), result in chunks:
+        ens.fold(lo, hi, *result)
+        del result  # drop the chunk's lanes before the next chunk is computed
+    return ens
 
 
 @dataclass
@@ -410,25 +506,19 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     with _Stage("emit"):
         make_out_dir(config.out_dir)
     p = config.params
-    grid = config.grid()
     files: dict = {}
     checks: dict = {"fullmodel": [], "invariants": []}
 
     need_ensemble = ("reconstruct" in config.pipelines
                      or "thermo" in config.pipelines)
-    bundle = None
+    ens = None
     if need_ensemble:
         with _Stage("simulate"):
-            bundle = collect_ensemble(
-                p, grid, config.n_traj, config.master_seed,
-                decimation=config.decimation, chunk_size=config.chunk_size,
-                n_workers=config.n_workers,
-                retrodict="reconstruct" in config.pipelines,
-            )
+            ens = _stream_ensemble(config, retrodict="reconstruct" in config.pipelines)
         checks["invariants"].append(check_record(
-            "photocurrent_identity", 1.0 if bundle.photocurrent_ok else 0.0, 1.0, 0.0))
+            "photocurrent_identity", ens.photocurrent_residual, 0.0, PHOTOCURRENT_TOL))
         checks["invariants"].append(check_record(
-            "filter_inversion_max_abs", bundle.inversion_max_abs, 0.0, 1e-9))
+            "filter_inversion_max_abs", ens.inversion_max_abs, 0.0, 1e-9))
 
     rates_d = derive_rates(p)
     ev = v_rec = v_ss_est = rates = None
@@ -436,11 +526,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     if "reconstruct" in config.pipelines:
         with _Stage("reconstruct"):
-            ev = estimation.difference_variance(bundle.paths())
+            ev = estimation._pooled_difference_variance(
+                ens.d.variance(), ens.d.count, ens.grid_out, 0)
             v_rec, v_ss_est = estimation.reconstruct_conditional_variance(
                 ev, p, mode=config.mode, tail_fraction=config.tail_fraction)
-            lo, hi = 0, ev.grid.n_steps + 1
-            v_true = bundle.v_out[lo:hi]
+            v_true = ens.v_out[:ev.grid.n_steps + 1]
             rms = float(np.sqrt(np.mean((v_rec - v_true) ** 2 / v_true ** 2)))
             frac = float(np.mean(
                 np.abs(ev.v_d - (v_true + rates_d.v_ss
@@ -451,16 +541,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     if "thermo" in config.pipelines:
         with _Stage("thermo"):
-            rates = thermo.ensemble_average_rates(bundle.series(), p)
-            n_disp = min(config.n_display, config.n_traj)
-            display_phi = bundle.phi_c[:n_disp]
-            display_pi = bundle.pi_c[:n_disp]
-            theta_mean = bundle.theta.mean(axis=0)
-            theta_se = bundle.theta.std(axis=0, ddof=1) / math.sqrt(config.n_traj)
+            rates = thermo._ensemble_rates(ens.phi_c, ens.pi_c, ens.grid_out,
+                                           thermo.differential_gain(ens.v_out, p), p)
+            display_phi, display_pi = ens.display_phi, ens.display_pi
+            theta_mean = ens.theta.mean()
+            theta_se = np.sqrt(ens.theta.variance()) / math.sqrt(config.n_traj)
             # Nodes without ensemble scatter (node 0, where r(0) = 0 on every
             # lane, and every node at eta_det = 0) make a z a ratio of
-            # round-off terms; test them as identities instead.
-            scatter = np.ptp(bundle.theta, axis=0) > 0
+            # round-off terms; test them as identities instead. The fold
+            # gives such nodes their common value exactly and M2 == 0.
+            scatter = ens.theta.m2 > 0
             dev = np.abs(theta_mean - rates_d.v_uc)
             z_theta = float(np.max(dev[scatter] / theta_se[scatter], initial=0.0))
             t0_dev = float(np.max(dev[~scatter]))
@@ -472,8 +562,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             checks["fullmodel"] = adiabatic_consistency_check(p)
 
     result = RunResult(
-        config=config, grid_out=bundle.grid_out if bundle else None,
-        v_riccati=bundle.v_out if bundle else None,
+        config=config, grid_out=ens.grid_out if ens else None,
+        v_riccati=ens.v_out if ens else None,
         ev=ev, v_rec=v_rec, v_ss_est=v_ss_est, rates=rates,
         display_phi=display_phi, display_pi=display_pi,
         checks=checks, files=files, wall_time_s=0.0,

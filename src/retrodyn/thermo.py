@@ -29,6 +29,7 @@ import numpy as np
 from ._io import write_csv
 from .errors import DomainError, ShapeError, StatisticsError
 from .dynamics import TimeGrid, Trajectory
+from .estimation import _LaneMoments
 from .model import GaussianState, PhysParams, derive_rates
 
 __all__ = [
@@ -222,41 +223,43 @@ def entropy_rate_fd(s_w, dt: float):
     return np.gradient(np.asarray(s_w, dtype=float), dt, edge_order=2)
 
 
-def _stack_rate_lanes(series) -> tuple[TimeGrid, np.ndarray, np.ndarray, np.ndarray]:
-    series = list(series)
-    if not series:
-        raise StatisticsError("ensemble_average_rates needs at least 2 series, got 0")
-    grid = series[0].grid
-    phi, pi = [], []
-    for s in series:
-        if s.grid != grid:
-            raise ShapeError("all EntropySeries must share one grid")
-        phi.append(s.phi_c if s.phi_c.ndim == 2 else s.phi_c[None])
-        pi.append(s.pi_c if s.pi_c.ndim == 2 else s.pi_c[None])
-    return grid, np.concatenate(phi), np.concatenate(pi), series[0].g_diff
-
-
 def ensemble_average_rates(series, p: PhysParams) -> EnsembleRates:
     """Pointwise sample means of phi_c and pi_c over an ensemble.
 
     series is a collection of EntropySeries on one grid; batched series
-    count each lane separately. Standard errors are sample-std / sqrt(N).
+    count each lane separately. Lanes are folded one by one in the order
+    given (estimation._LaneMoments), so series may be a generator.
+    Standard errors are sample-std / sqrt(N).
     """
-    grid, phi, pi, g_diff = _stack_rate_lanes(series)
-    n = phi.shape[0]
+    phi, pi = _LaneMoments(), _LaneMoments()
+    grid = g_diff = None
+    for s in series:
+        if grid is None:
+            grid, g_diff = s.grid, s.g_diff
+        elif s.grid != grid:
+            raise ShapeError("all EntropySeries must share one grid")
+        phi.fold(s.phi_c if s.phi_c.ndim == 2 else s.phi_c[None])
+        pi.fold(s.pi_c if s.pi_c.ndim == 2 else s.pi_c[None])
+    return _ensemble_rates(phi, pi, grid, g_diff, p)
+
+
+def _ensemble_rates(phi: _LaneMoments, pi: _LaneMoments, grid: TimeGrid, g_diff,
+                    p: PhysParams) -> EnsembleRates:
+    """EnsembleRates from the lane moments of phi_c and pi_c."""
+    n = phi.count
     if n < 2:
         raise StatisticsError(f"ensemble_average_rates needs at least 2 lanes, got {n}")
     pi_uc_ss = unconditional_rates(p, derive_rates(p).v_uc)[1]
     sq = math.sqrt(n)
-    pi_mean = pi.mean(axis=0)
+    pi_mean = pi.mean()
     return EnsembleRates(
         grid=grid,
-        phi_c=phi.mean(axis=0),
+        phi_c=phi.mean(),
         pi_c=pi_mean,
         i_dot=pi_mean - pi_uc_ss,
         g_diff=np.asarray(g_diff, dtype=float),
-        stderr_phi_c=phi.std(axis=0, ddof=1) / sq,
-        stderr_pi_c=pi.std(axis=0, ddof=1) / sq,
+        stderr_phi_c=np.sqrt(phi.variance()) / sq,
+        stderr_pi_c=np.sqrt(pi.variance()) / sq,
         n_samples=n,
     )
 

@@ -19,15 +19,15 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "39a93d51386ba7c327f6111065933deb51ecbe8fbd52bdd74fa6929732f3aeef",
+        "d2cae6963a15f0c24efb8efccb2745b3b2606c7074b7a2aa916cd43fb1df01c6",
     "reconstruction.csv":
-        "e974e743f5dd3ad6dbcd003c4f67f26cac8d92fbbc86bd45fc92da37b24f0250",
+        "711dc8711ca642d89eb9dcd856be50aaf912a35e15b232341abe841bff6e71a9",
     "entropy_rates.csv":
-        "8dd9c77eb2da09ded8526b29d711fca32490a0bdb16a5cc50b9c362eab0b9d74",
+        "45aa576e9fdb485e6be13badf29789cf43313c158323bf84789fa855ddf2fa5e",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "818588b0eacdafae9f82e1507062488053cb4f8a5480b4a71143e2c45a326043",
+        "4ccb60d70e1929ba0a17f48db62969d7753b79116d8b239ca78715cd06e48268",
 }
 
 

@@ -4,6 +4,7 @@ reproducibility of the data products, stage naming, and exit codes."""
 import json
 import math
 import os
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -352,6 +353,65 @@ class TestRunDeterminism:
         t, _, v_rec0, stderr0 = data[0]
         assert t == 0.0
         assert abs(v_rec0 - 33.45) <= 3.0 * stderr0
+
+
+class TestStreamedRun:
+    """run_experiment folds its ensemble lane by lane instead of stacking it."""
+
+    def test_products_equal_public_reductions(self, first_run, params):
+        _, result = first_run
+        cfg = result.config
+        b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
+                             decimation=cfg.decimation, chunk_size=cfg.chunk_size)
+        ev = rd.difference_variance(b.paths())
+        rates = rd.ensemble_average_rates(b.series(), params)
+        assert result.ev.grid == ev.grid and result.ev.n_samples == ev.n_samples
+        assert _bitwise_equal(result.ev.v_d, ev.v_d)
+        assert _bitwise_equal(result.ev.stderr, ev.stderr)
+        assert result.rates.n_samples == rates.n_samples
+        for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
+            assert _bitwise_equal(getattr(result.rates, name), getattr(rates, name)), name
+        assert _bitwise_equal(result.display_phi, b.phi_c[:cfg.n_display])
+        assert _bitwise_equal(result.display_pi, b.pi_c[:cfg.n_display])
+        by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
+        assert by_name["photocurrent_identity"] == b.photocurrent_residual
+        assert by_name["filter_inversion_max_abs"] == b.inversion_max_abs
+
+    def test_peak_memory_does_not_grow_with_n_traj(self, tmp_path):
+        # Fixed chunks, so the per-chunk working set is the same at both N;
+        # a stacked ensemble would make the peak grow about fourfold.
+        def peak(n_traj):
+            cfg = default_config(out_dir=str(tmp_path / str(n_traj)), n_traj=n_traj,
+                                 t_final=3e-4, chunk_size=60, n_workers=1,
+                                 pipelines=("thermo",))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(960) < 1.5 * peak(240)
+
+    def test_theta_identity_nodes_are_exact_at_large_n(self, tmp_path):
+        # A lane-axis numpy mean of 5000 identical node-0 values drifted
+        # past the 1e-12 bound; the fold reproduces a common value exactly.
+        cfg = default_config(out_dir=str(tmp_path), n_traj=5000, t_final=3e-4,
+                             n_workers=1, pipelines=("thermo",))
+        by_name = {rec["name"]: rec for rec in run_experiment(cfg).checks["invariants"]}
+        assert by_name["theta_mean_t0_abs_dev"]["value"] == 0.0
+        assert all(rec["pass"] for rec in by_name.values()), by_name
+
+    def test_corrupted_photocurrent_fails_its_check(self, tmp_path, monkeypatch):
+        def wrong_sign(r_start, dw, c, dt):
+            return (dw - c * r_start * dt) / dt
+
+        monkeypatch.setattr(dynamics, "_photocurrent", wrong_sign)
+        cfg = default_config(out_dir=str(tmp_path), n_traj=4, t_final=2e-4,
+                             chunk_size=2, n_workers=1, pipelines=("thermo",))
+        by_name = {rec["name"]: rec for rec in run_experiment(cfg).checks["invariants"]}
+        rec = by_name["photocurrent_identity"]
+        assert not rec["pass"] and rec["value"] > 1e-3, rec
 
 
 class TestStagesAndEmit:
