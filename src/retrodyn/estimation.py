@@ -17,6 +17,11 @@ Gamma_m / 2. The kernel exp(lambda (t - s)) contracts only in the reverse
 direction, so lambda <= 0 is refused. A terminal window of 10 / lambda is
 flagged invalid while the filter forgets its terminal condition.
 
+Its Euler step r_b[k] = afac r_b[k+1] + bcoef i[k] dt is linear, so it
+composes over windows of D steps (Blelloch, CMU-CS-90-190, 1.4): r_b[D j]
+= afac^D r_b[D (j+1)] + B[j], B[j] = bcoef sum_{m<D} afac^m i[D j + m] dt.
+backward_filter(..., decimation=D) runs on these window sums.
+
 The difference trajectory d(t) = r_hat(t) - r_b(t) has per-quadrature
 ensemble variance
 
@@ -28,10 +33,10 @@ reconstruction, with either the exact offset or the large-cooperativity
 shortcut V_ss ~ V_d(inf) / 2, is what reconstruct_conditional_variance does.
 
 Both filters have one implementation, the time-major step helpers
-_forward_steps and _backward_steps over (steps, lanes, 2) blocks.
-forward_filter and backward_filter move the time axis to the front, run
-them over the whole record and move it back; the ensemble kernel in
-retrodyn.pipeline runs them block by block.
+_forward_steps, _window_sums and _backward_steps over (steps, lanes, 2)
+blocks. forward_filter and backward_filter move the time axis to the
+front, run them over the whole record and move it back; the ensemble
+kernel in retrodyn.pipeline runs them block by block.
 """
 
 from __future__ import annotations
@@ -176,12 +181,29 @@ def _backward_steps(r_b, bidt, afac: float) -> None:
 
     r_b has one row more than bidt; r_b[-1] holds the terminal estimate and
     row k receives r_b[k+1] afac + bidt[k], where bidt = sqrt(4 Gamma_meas)
-    V_E i dt.
+    V_E i dt, or its window sums with afac^D in place of afac.
     """
     cur = r_b[-1]
     for k in range(len(bidt) - 1, -1, -1):
         cur = cur * afac + bidt[k]
         r_b[k] = cur
+
+
+def _window_sums(out, idt, afac: float, bcoef: float, decim: int) -> None:
+    """out[j] = bcoef sum_{m<decim} afac^m idt[decim j + m] by Horner's rule.
+
+    Elementwise over a (windows, decim, lanes, 2) view of the time-major
+    idt, so the bits do not depend on splitting it into whole windows. The
+    rows past the last whole window form one short window in out[n_win].
+    """
+    n_win, rest = divmod(len(idt), decim)
+    rows = idt[:n_win * decim].reshape((n_win, decim) + idt.shape[1:])
+    acc = rows[:, -1]
+    for m in range(decim - 2, -1, -1):
+        acc = acc * afac + rows[:, m]
+    np.multiply(bcoef, acc, out=out[:n_win])
+    if rest:
+        _window_sums(out[n_win:], idt[n_win * decim:], afac, bcoef, rest)
 
 
 def _retrodiction_rates(p: PhysParams) -> DerivedRates:
@@ -202,7 +224,8 @@ def burn_in_steps(p: PhysParams, dt: float) -> int:
     return math.ceil(10.0 / (_retrodiction_rates(p).lambda_b * dt))
 
 
-def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
+def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
+                    decimation: int = 1) -> np.ndarray:
     """Run the retrodiction filter backward from r_b(T) = 0.
 
     Reverse-time explicit Euler of d r_b/dt = lambda r_b - sqrt(4 Gamma_meas)
@@ -210,14 +233,19 @@ def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
 
         r_b[k] = (1 - lambda dt) r_b[k+1] + sqrt(4 Gamma_meas) V_E i[k] dt.
 
-    Returns node values, shape (..., n_steps + 1, 2). Estimates inside the
-    terminal burn-in window (the last ceil(10/(lambda dt)) steps) still carry
-    the arbitrary terminal condition; burn_in_steps gives the cutoff.
+    Returns the nodes 0, D, 2D, ... for D = decimation, shape (...,
+    n_steps // D + 1, 2); D > 1 composes each window's steps (module
+    docstring), equal to the per-step nodes up to round-off. Nodes inside
+    the terminal burn-in window (the last ceil(10/(lambda dt)) steps) still
+    carry the arbitrary terminal condition; burn_in_steps gives the cutoff.
     """
+    if decimation < 1:
+        raise ValidationError(f"decimation must be >= 1, got {decimation!r}")
     idt = _time_major_increments(photocurrent, grid)
     afac, bcoef = _backward_coefficients(p, grid.dt)
-    out = np.zeros((grid.n_steps + 1,) + idt.shape[1:])
-    _backward_steps(out, bcoef * idt, afac)
+    out = np.zeros((grid.n_steps // decimation + 1,) + idt.shape[1:])
+    _window_sums(out, idt, afac, bcoef, decimation)
+    _backward_steps(out, out[:-1], afac ** decimation)
     return np.ascontiguousarray(np.moveaxis(out, 0, -2))
 
 

@@ -24,11 +24,11 @@ expected to differ between reruns.
 The Riccati series is solved once per ensemble and shared by every chunk.
 A chunk runs as one time-major pass over blocks of steps, laid out
 (steps, lanes, 2): noise draws, synthesis, photocurrent and prediction
-filter, keeping only the decimated nodes. Its one full-resolution array is
-the retrodiction input sqrt(4 Gamma_meas) V_E i dt, built only when the
-reconstruct pipeline needs the backward filter. The kernel uses the same
-step helpers as simulate_batch, forward_filter and backward_filter, so every
-lane is bit-identical to the public lane-major path.
+filter, keeping only the decimated nodes and, for the backward filter, one
+retrodiction window sum per node; no array of a chunk is full-resolution.
+The kernel uses the same step helpers as simulate_batch, forward_filter
+and backward_filter(..., decimation), so every lane is bit-identical to
+the public lane-major path.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 300
 
 #: Steps per time-major block of the chunk kernel: a block's draws for 300
-#: lanes (about 5 MB) stay cache-sized. Leaves the bytes alone.
+#: lanes (about 5 MB) stay cache-sized. Rounded to whole decimation
+#: windows, blocks leave the bytes alone.
 _BLOCK_STEPS = 1000
 
 #: Bound on the photocurrent_identity check value (a round-off residual
@@ -264,13 +265,13 @@ def _decimate_into(out, block, base: int, lo: int, hi: int, decim: int) -> None:
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
-    One time-major pass over blocks of _BLOCK_STEPS steps draws the noise,
-    synthesizes the means and the photocurrent, runs the prediction filter
-    and keeps only the decimated nodes and max |r_hat - r|. The one
-    full-resolution array, sqrt(4 Gamma_meas) V_E i dt, is turned into r_b
-    in place by the retrodiction pass after the last block. Every lane's
-    bits equal the lane-major public path (simulate_batch, forward_filter,
-    backward_filter). With check_photo the chunk also returns
+    One time-major pass over blocks of whole decimation windows draws the
+    noise, synthesizes the means and the photocurrent, runs the prediction
+    filter and keeps only the decimated nodes, max |r_hat - r| and, with
+    retrodict, the retrodiction window sums, which the backward recursion
+    then turns into r_b in place. Every lane's bits equal the lane-major
+    public path (simulate_batch, forward_filter, backward_filter(...,
+    decimation)). With check_photo the chunk also returns
     max |i dt - c r dt - dw| / sqrt(dt), the increments recovered from the
     photocurrent against the draws (0.0 without).
 
@@ -285,14 +286,16 @@ def _compute_chunk(args):
     n_nodes = n // decim + 1
     r_dec = np.zeros((n_nodes, lanes, 2))
     rh_dec = np.zeros((n_nodes, lanes, 2))
+    rb_dec = None
     if retrodict:
         afac, bcoef = estimation._backward_coefficients(p, dt)
-        bidt = np.zeros((n + 1, lanes, 2))  # row n: the terminal r_b = 0
-    r = np.zeros((_BLOCK_STEPS + 1, lanes, 2))
-    r_hat = np.zeros((_BLOCK_STEPS + 1, lanes, 2))
+        rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
+    block = decim * max(1, _BLOCK_STEPS // decim)
+    r = np.zeros((block + 1, lanes, 2))
+    r_hat = np.zeros((block + 1, lanes, 2))
     inv_max, photo_err = 0.0, 0.0
-    for s0 in range(0, n, _BLOCK_STEPS):
-        s1 = min(s0 + _BLOCK_STEPS, n)
+    for s0 in range(0, n, block):
+        s1 = min(s0 + block, n)
         m = s1 - s0
         dw = dynamics._draw_increments(gens, m, dt)
         dynamics._synthesis_steps(r[:m + 1], dw, amp[s0:s1], efac)
@@ -300,20 +303,22 @@ def _compute_chunk(args):
         if check_photo:
             dw_rec = dynamics._recovered_increments(photo, r[:m], c, dt)
             photo_err = np.maximum(photo_err, np.abs(dw_rec - dw, out=dw_rec).max())
+            del dw_rec
         idt = photo * dt
         estimation._forward_steps(r_hat[:m + 1], idt, amp[s0:s1], efac, c, dt)
         diff = r_hat[1:m + 1] - r[1:m + 1]
         inv_max = np.maximum(inv_max, np.abs(diff, out=diff).max())
         if retrodict:
-            np.multiply(bcoef, idt, out=bidt[s0:s1])
+            estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
         _decimate_into(r_dec, r, s0, s0 + 1, s1 + 1, decim)
         _decimate_into(rh_dec, r_hat, s0, s0 + 1, s1 + 1, decim)
         r[0], r_hat[0] = r[m], r_hat[m]
-    rb_dec = None
+        # Drop the block's arrays: the next block and theta allocate theirs.
+        del dw, photo, idt, diff
+    del r, r_hat
     if retrodict:
-        # In place: row k is read as bcoef i[k] dt just before r_b[k] replaces it.
-        estimation._backward_steps(bidt, bidt[:-1], afac)
-        rb_dec = bidt[::decim].copy()
+        # In place: each window sum is read just before its r_b replaces it.
+        estimation._backward_steps(rb_dec, rb_dec[:-1], afac ** decim)
     v_out = v_nodes[::decim, None]
     theta = v_out + 0.5 * np.sum(r_dec * r_dec, axis=-1)
     phi_c, pi_c = thermo.theta_rates(theta, v_out, p)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import retrodyn as rd
+from retrodyn.pipeline import _BLOCK_STEPS as BLOCK
 
 
 def _flat_ev(v_d_value, n_nodes=100, stderr=1e-9, dt=1e-6):
@@ -98,6 +99,54 @@ class TestBackwardFilter:
         # atol covers elements passing near zero, where the recursion's
         # rounding order leaves sub-ulp absolute residue
         np.testing.assert_allclose(r2, 3.0 * r1, rtol=1e-12, atol=1e-13)
+
+
+# The step counts of the chunk-kernel tests: a ragged last block, shorter
+# than one block, not a multiple of 7 or 10, exactly one block.
+KERNEL_STEPS = (2 * BLOCK + 500, BLOCK // 3, BLOCK + 503, BLOCK)
+
+
+def _kernel_records(params, n_steps):
+    g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=n_steps)
+    traj = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 21, range(3))
+    return g, traj.photocurrent
+
+
+class TestDecimatedBackwardFilter:
+    """backward_filter(..., decimation=D): r_b at every D-th node from
+    window sums, against the per-step recursion."""
+
+    @pytest.mark.parametrize("n_steps", KERNEL_STEPS)
+    def test_decimation_1_is_the_per_step_recursion(self, params, rates, n_steps):
+        g, i = _kernel_records(params, n_steps)
+        afac = 1.0 - rates.lambda_b * g.dt
+        bcoef = math.sqrt(4.0 * rates.gamma_meas) * rates.v_e
+        ref = np.zeros((i.shape[0], n_steps + 1, 2))
+        for k in range(n_steps - 1, -1, -1):
+            ref[:, k] = ref[:, k + 1] * afac + bcoef * (i[:, k] * g.dt)
+        out = rd.backward_filter(i, params, g, decimation=1)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        assert out.tobytes() == rd.backward_filter(i, params, g).tobytes()
+
+    @pytest.mark.parametrize("n_steps, decimation",
+                             [(n, d) for n in KERNEL_STEPS for d in (7, 10)]
+                             + [(BLOCK // 3, BLOCK)])   # one partial window
+    def test_window_nodes_match_the_per_step_nodes(self, params, n_steps, decimation):
+        g, i = _kernel_records(params, n_steps)
+        full = rd.backward_filter(i, params, g)
+        out = rd.backward_filter(i, params, g, decimation=decimation)
+        assert out.shape == (i.shape[0], n_steps // decimation + 1, 2)
+        scale = np.max(np.abs(full))
+        np.testing.assert_allclose(out, full[..., ::decimation, :],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        # Lanes are independent: one record alone gives the same bits.
+        single = rd.backward_filter(i[1], params, g, decimation=decimation)
+        assert single.tobytes() == out[1].tobytes()
+
+    def test_decimation_below_1_rejected(self, params):
+        g, i = _kernel_records(params, 10)
+        with pytest.raises(rd.ValidationError, match="decimation"):
+            rd.backward_filter(i, params, g, decimation=0)
 
 
 def _manual_path(grid, r_hat, r_b, valid):

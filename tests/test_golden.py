@@ -19,15 +19,15 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "d2cae6963a15f0c24efb8efccb2745b3b2606c7074b7a2aa916cd43fb1df01c6",
+        "0899ed4fbfc82949f841db61ca3c68e59b81800e220be3cc77906274b3309a60",
     "reconstruction.csv":
-        "711dc8711ca642d89eb9dcd856be50aaf912a35e15b232341abe841bff6e71a9",
+        "77ae77e4d6328be6677a7ba3f7cfce6581f7f5ebd1d4276ea1124c835315bead",
     "entropy_rates.csv":
         "45aa576e9fdb485e6be13badf29789cf43313c158323bf84789fa855ddf2fa5e",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "4ccb60d70e1929ba0a17f48db62969d7753b79116d8b239ca78715cd06e48268",
+        "af12a2fdf2967c28a88ee15828ff2ec2248ed89ef1362ead2a6a4f8ab4fc074c",
 }
 
 
