@@ -640,17 +640,9 @@ def emit_figure_data(results: RunResult, which: str) -> str:
     if which == "fig2":
         if results.rates is None:
             raise ValidationError("fig2 needs the thermo pipeline results")
-        r = results.rates
-        t = r.grid.times()
-        header = thermo.RATES_CSV_HEADER
-        cols = [t, r.phi_c, r.pi_c, r.i_dot, r.g_diff,
-                r.stderr_phi_c, r.stderr_pi_c]
-        for j in range(results.display_phi.shape[0]):
-            header += f",phi_c_path{j + 1},pi_c_path{j + 1}"
-            cols.append(results.display_phi[j])
-            cols.append(results.display_pi[j])
         path = os.path.join(cfg.out_dir, "entropy_rates.csv")
-        write_csv(path, header, cols)
+        thermo.write_rates_csv(path, results.rates, results.display_phi,
+                               results.display_pi)
         return path
     if which == "fig3":
         if results.v_riccati is None:

@@ -264,12 +264,22 @@ def _ensemble_rates(phi: _LaneMoments, pi: _LaneMoments, grid: TimeGrid, g_diff,
     )
 
 
-def write_rates_csv(path, rates: EnsembleRates) -> None:
-    """Write the ensemble-rate data product (one row per grid node)."""
+def write_rates_csv(path, rates: EnsembleRates, display_phi=(), display_pi=()) -> None:
+    """Write the ensemble-rate data product (one row per grid node).
+
+    display_phi and display_pi hold sample paths, one per row; path j is
+    written after the ensemble columns as the pair phi_c_pathJ,pi_c_pathJ.
+    """
     t = rates.grid.times()
-    cols = (rates.phi_c, rates.pi_c, rates.i_dot, rates.g_diff,
-            rates.stderr_phi_c, rates.stderr_pi_c)
+    header = RATES_CSV_HEADER
+    cols = [rates.phi_c, rates.pi_c, rates.i_dot, rates.g_diff,
+            rates.stderr_phi_c, rates.stderr_pi_c]
+    if len(display_phi) != len(display_pi):
+        raise ShapeError("display_phi and display_pi must hold the same number of paths")
+    for j, pair in enumerate(zip(display_phi, display_pi), start=1):
+        header += f",phi_c_path{j},pi_c_path{j}"
+        cols.extend(pair)
     for c in cols:
         if np.shape(c) != t.shape:
             raise ShapeError("ensemble rate columns must match the grid length")
-    write_csv(path, RATES_CSV_HEADER, (t,) + cols)
+    write_csv(path, header, [t] + cols)
