@@ -32,14 +32,15 @@ def main(out_path="entropy_rates_demo.csv"):
     t = bundle.grid_out.times()
 
     # a single lane fluctuates at the scale of Pi_uc itself
-    lane = bundle.pi_c[0]
+    (series,) = bundle.series()
+    lane = series.pi_c[0]
     print("single-trajectory production rate (lane 0):")
     for k in (1, 100, 250, 500):
         print(f"  t = {t[k] * 1e3:5.2f} ms   pi_c = {lane[k]:+.4e} nats/s "
               f"({lane[k] / pi_uc:+.2f} x Pi_uc)")
     print()
 
-    er = rd.ensemble_average_rates(bundle.series(), p)
+    er = rd.ensemble_average_rates([series], p)
     target = pi_uc + rd.information_rate(bundle.v_out, p)
     z_pi = np.abs(er.pi_c[1:] - target[1:]) / er.stderr_pi_c[1:]
     z_phi = np.abs(er.phi_c[1:] - phi_uc) / er.stderr_phi_c[1:]

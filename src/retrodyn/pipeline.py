@@ -13,9 +13,11 @@ Everything except manifest.json is a pure function of the configuration:
 trajectories are keyed (master_seed, stream) with stream = trajectory index,
 and every ensemble reduction is a lane-order fold: chunk results arrive in
 stream-index order and each is folded lane by lane into per-node running
-moments (count, mean, M2; Welford's update), then dropped. The fold is the
-one difference_variance and ensemble_average_rates run, so a run's products
-equal theirs on the stacked collect_ensemble bit for bit; byte-identical
+moments (count, mean, M2; Welford's update), then dropped. Only r_hat - r_b
+and theta = V + r.r/2 are folded: the entropy rates, affine in theta, are
+derived from its moments and the display paths from its first lanes, as in
+difference_variance and ensemble_average_rates, so a run's products equal
+theirs on the stacked collect_ensemble bit for bit; byte-identical
 files come out regardless of how many workers run the chunks and how large
 the chunks are, and memory does not grow with the ensemble size. The
 manifest records wall time and library versions and is the one file
@@ -211,8 +213,9 @@ class EnsembleBundle:
     """Decimated per-lane ensemble data plus shared deterministic series.
 
     Arrays are stacked over all trajectories: r and the filtered means have
-    shape (n_traj, n_out + 1, 2); theta, phi_c, pi_c have (n_traj, n_out + 1).
-    grid_out is the decimated grid; v_out the Riccati solution on it. r_b
+    shape (n_traj, n_out + 1, 2); theta has (n_traj, n_out + 1). grid_out is
+    the decimated grid; v_out the Riccati solution on it. The rates phi_c and
+    pi_c are not stored: series() derives them from theta and v_out. r_b
     and valid_stop are None for an ensemble collected without retrodiction.
     photocurrent_residual is max |i dt - c r dt - dw| / sqrt(dt) over the
     first chunk: the increments recovered from the photocurrent, as
@@ -225,8 +228,6 @@ class EnsembleBundle:
     r_hat: np.ndarray
     r_b: np.ndarray | None
     theta: np.ndarray
-    phi_c: np.ndarray
-    pi_c: np.ndarray
     valid_stop: int | None
     inversion_max_abs: float
     photocurrent_residual: float
@@ -245,13 +246,14 @@ class EnsembleBundle:
                              valid_range=(0, self.valid_stop))]
 
     def series(self) -> list:
-        """The ensemble as one batched EntropySeries, for rate averaging."""
+        """The ensemble as one batched EntropySeries; its rates derived from theta."""
         v, p = self.v_out, self.params
-        return [EntropySeries(grid=self.grid_out, phi_c=self.phi_c, pi_c=self.pi_c,
+        phi_c, pi_c = thermo.theta_rates(self.theta, v, p)
+        return [EntropySeries(grid=self.grid_out, phi_c=phi_c, pi_c=pi_c,
                               s_w=thermo.wigner_entropy(v),
                               i_dot=thermo.information_rate(v, p),
                               g_diff=thermo.differential_gain(v, p),
-                              theta=self.theta)]
+                              theta=self.theta, v=v)]
 
 
 def _decimate_into(out, block, base: int, lo: int, hi: int, decim: int) -> None:
@@ -319,10 +321,8 @@ def _compute_chunk(args):
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], afac ** decim)
-    v_out = v_nodes[::decim, None]
-    theta = v_out + 0.5 * np.sum(r_dec * r_dec, axis=-1)
-    phi_c, pi_c = thermo.theta_rates(theta, v_out, p)
-    return (r_dec, rh_dec, rb_dec, theta, phi_c, pi_c, float(inv_max),
+    theta = v_nodes[::decim, None] + 0.5 * np.sum(r_dec * r_dec, axis=-1)
+    return (r_dec, rh_dec, rb_dec, theta, float(inv_max),
             float(photo_err) / math.sqrt(dt))
 
 
@@ -387,12 +387,10 @@ def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
         grid_out=grid_out, v_out=v_out,
         r=np.empty(shape + (2,)), r_hat=np.empty(shape + (2,)),
         r_b=np.empty(shape + (2,)) if retrodict else None,
-        theta=np.empty(shape), phi_c=np.empty(shape), pi_c=np.empty(shape),
-        valid_stop=valid_stop, inversion_max_abs=0.0, photocurrent_residual=0.0,
-        params=p)
+        theta=np.empty(shape), valid_stop=valid_stop, inversion_max_abs=0.0,
+        photocurrent_residual=0.0, params=p)
     for (lo, hi), (*lane_data, inv_max, photo_err) in chunks:
-        for name, part in zip(("r", "r_hat", "r_b", "theta", "phi_c", "pi_c"),
-                              lane_data):
+        for name, part in zip(("r", "r_hat", "r_b", "theta"), lane_data):
             if part is not None:
                 getattr(bundle, name)[lo:hi] = part.swapaxes(0, 1)
         bundle.inversion_max_abs = float(np.maximum(bundle.inversion_max_abs, inv_max))
@@ -404,7 +402,7 @@ def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
 @dataclass
 class _EnsembleMoments:
     """What a run keeps of its ensemble: per-node lane moments, the first
-    display lanes of the rates and the kernel's check values.
+    display lanes of theta and the kernel's check values.
 
     d holds the moments of r_hat - r_b on the valid window (nodes
     0 <= k < valid_stop); it stays empty without retrodiction.
@@ -413,26 +411,20 @@ class _EnsembleMoments:
     grid_out: TimeGrid
     v_out: np.ndarray
     valid_stop: int | None
-    display_phi: np.ndarray
-    display_pi: np.ndarray
+    display_theta: np.ndarray
     d: _LaneMoments = field(default_factory=_LaneMoments)
     theta: _LaneMoments = field(default_factory=_LaneMoments)
-    phi_c: _LaneMoments = field(default_factory=_LaneMoments)
-    pi_c: _LaneMoments = field(default_factory=_LaneMoments)
     inversion_max_abs: float = 0.0
     photocurrent_residual: float = 0.0
 
-    def fold(self, lo, hi, _, r_hat, r_b, theta, phi_c, pi_c, inv_max, photo_err):
+    def fold(self, lo, hi, _, r_hat, r_b, theta, inv_max, photo_err):
         """Fold one chunk's result (_compute_chunk) for lanes lo <= j < hi."""
         if r_b is not None:
             stop = self.valid_stop
             self.d.fold((r_hat[:stop] - r_b[:stop]).swapaxes(0, 1))
         self.theta.fold(theta.T)
-        self.phi_c.fold(phi_c.T)
-        self.pi_c.fold(pi_c.T)
-        k = max(min(hi, len(self.display_phi)) - lo, 0)
-        self.display_phi[lo:lo + k] = phi_c[:, :k].T
-        self.display_pi[lo:lo + k] = pi_c[:, :k].T
+        k = max(min(hi, len(self.display_theta)) - lo, 0)
+        self.display_theta[lo:lo + k] = theta[:, :k].T
         self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
         self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
                                                       photo_err))
@@ -450,8 +442,7 @@ def _stream_ensemble(config: ExperimentConfig, retrodict: bool) -> _EnsembleMome
         config.params, config.grid(), config.n_traj, config.master_seed,
         config.decimation, config.chunk_size, config.n_workers, retrodict)
     display = (min(config.n_display, config.n_traj), grid_out.n_steps + 1)
-    ens = _EnsembleMoments(grid_out, v_out, valid_stop, np.empty(display),
-                           np.empty(display))
+    ens = _EnsembleMoments(grid_out, v_out, valid_stop, np.empty(display))
     for (lo, hi), result in chunks:
         ens.fold(lo, hi, *result)
         del result  # drop the chunk's lanes before the next chunk is computed
@@ -546,9 +537,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     if "thermo" in config.pipelines:
         with _Stage("thermo"):
-            rates = thermo._ensemble_rates(ens.phi_c, ens.pi_c, ens.grid_out,
-                                           thermo.differential_gain(ens.v_out, p), p)
-            display_phi, display_pi = ens.display_phi, ens.display_pi
+            rates = thermo._ensemble_rates(ens.theta, ens.v_out, ens.grid_out, p)
+            display_phi, display_pi = thermo.theta_rates(ens.display_theta,
+                                                         ens.v_out, p)
             theta_mean = ens.theta.mean()
             theta_se = np.sqrt(ens.theta.variance()) / math.sqrt(config.n_traj)
             # Nodes without ensemble scatter (node 0, where r(0) = 0 on every

@@ -10,13 +10,14 @@ dS/dt = V'/V, which equals the information rate
 The stochastic flux and production rates depend on the trajectory only
 through theta = V + r.r/2:
 
-    phi_c = Gamma_m - theta (Gamma_m / nbar + 4 Gamma_qba),
-    pi_c  = theta (Gamma_m / nbar + 4 Gamma_qba)
-            + Gamma_m (V_uc / V - 2) - 4 eta_det Gamma_qba V,
+    phi_c = Gamma_m - k theta,
+    pi_c  = k theta + Gamma_m (V_uc / V - 2) - 4 eta_det Gamma_qba V,
 
-with nbar = n_th + 1/2. Both rates here share the computed theta term, so
-their sum cancels it exactly and the balance dS/dt = phi_c + pi_c holds along
-every trajectory to round-off, not merely on average.
+with k = Gamma_m / nbar + 4 Gamma_qba and nbar = n_th + 1/2. Both rates here
+share the computed theta term, so their sum cancels it exactly and the
+balance dS/dt = phi_c + pi_c holds along every trajectory to round-off, not
+merely on average. Being affine in theta, their ensemble statistics follow
+from theta's alone.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def wigner_entropy(v):
     return float(out) if out.ndim == 0 else out
 
 
+def _theta_slope(p: PhysParams) -> float:
+    """k = Gamma_m / nbar + 4 Gamma_qba: pi_c rises and phi_c falls by k per unit theta."""
+    return p.gamma_m / (p.n_th + 0.5) + 4.0 * p.gamma_qba
+
+
 def theta_rates(theta, v, p: PhysParams):
     """Flux and production rates from theta = V + r.r/2 directly.
 
@@ -79,8 +85,7 @@ def theta_rates(theta, v, p: PhysParams):
     # u appears with opposite signs in the two rates; compute it once.
     v = _as_positive(v, "stochastic rates")
     rates = derive_rates(p)
-    nbar = p.n_th + 0.5
-    u = np.asarray(theta, dtype=float) * (p.gamma_m / nbar + 4.0 * p.gamma_qba)
+    u = np.asarray(theta, dtype=float) * _theta_slope(p)
     phi_c = p.gamma_m - u
     pi_c = u + (p.gamma_m * (rates.v_uc / v - 2.0) - 4.0 * rates.gamma_meas * v)
     return phi_c, pi_c
@@ -167,10 +172,10 @@ def energy_currents(n_mean: float, p: PhysParams) -> tuple[float, float]:
 class EntropySeries:
     """Entropic quantities along one trajectory (or a batch of lanes).
 
-    phi_c, pi_c, theta may carry a leading batch axis; s_w, i_dot, g_diff
-    depend only on the deterministic variance and are shared, shape
-    (n_steps + 1,). Units: s_w and theta dimensionless (nats for s_w),
-    everything else nats/s.
+    phi_c, pi_c, theta may carry a leading batch axis; v is the deterministic
+    variance, and s_w, i_dot, g_diff depend only on it and are shared, all of
+    shape (n_steps + 1,). Units: v, s_w and theta dimensionless (nats for
+    s_w), everything else nats/s.
     """
 
     grid: TimeGrid
@@ -180,6 +185,7 @@ class EntropySeries:
     i_dot: np.ndarray
     g_diff: np.ndarray
     theta: np.ndarray
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,6 +218,7 @@ def entropy_series(traj: Trajectory, p: PhysParams) -> EntropySeries:
         i_dot=information_rate(traj.v, p),
         g_diff=differential_gain(traj.v, p),
         theta=theta,
+        v=traj.v,
     )
 
 
@@ -226,50 +233,46 @@ def entropy_rate_fd(s_w, dt: float):
 def ensemble_average_rates(series, p: PhysParams) -> EnsembleRates:
     """Pointwise sample means of phi_c and pi_c over an ensemble.
 
-    series is a collection of EntropySeries on one grid; batched series
-    count each lane separately. Lanes are folded one by one in the order
-    given (estimation._LaneMoments), so series may be a generator.
-    Standard errors are sample-std / sqrt(N).
+    series is a collection of EntropySeries on one grid and variance series;
+    batched series count each lane separately. Only theta is folded, lane by
+    lane in the order given (estimation._LaneMoments), so series may be a
+    generator. Standard errors are k * sample-std(theta) / sqrt(N).
     """
-    phi, pi = _LaneMoments(), _LaneMoments()
-    grid = g_diff = None
+    theta = _LaneMoments()
+    grid = v = None
     for s in series:
         if grid is None:
-            grid, g_diff = s.grid, s.g_diff
-        elif s.grid != grid:
-            raise ShapeError("all EntropySeries must share one grid")
-        phi.fold(s.phi_c if s.phi_c.ndim == 2 else s.phi_c[None])
-        pi.fold(s.pi_c if s.pi_c.ndim == 2 else s.pi_c[None])
-    return _ensemble_rates(phi, pi, grid, g_diff, p)
+            grid, v = s.grid, s.v
+        elif s.grid != grid or not np.array_equal(s.v, v):
+            raise ShapeError("all EntropySeries must share one grid and variance series")
+        theta.fold(s.theta if s.theta.ndim == 2 else s.theta[None])
+    return _ensemble_rates(theta, v, grid, p)
 
 
-def _ensemble_rates(phi: _LaneMoments, pi: _LaneMoments, grid: TimeGrid, g_diff,
+def _ensemble_rates(theta: _LaneMoments, v, grid: TimeGrid,
                     p: PhysParams) -> EnsembleRates:
-    """EnsembleRates from the lane moments of phi_c and pi_c."""
-    n = phi.count
+    """EnsembleRates from theta's lane moments: the rates of the mean theta."""
+    n = theta.count
     if n < 2:
         raise StatisticsError(f"ensemble_average_rates needs at least 2 lanes, got {n}")
     pi_uc_ss = unconditional_rates(p, derive_rates(p).v_uc)[1]
-    sq = math.sqrt(n)
-    pi_mean = pi.mean()
+    phi_c, pi_c = theta_rates(theta.mean(), v, p)
+    stderr = _theta_slope(p) * np.sqrt(theta.variance()) / math.sqrt(n)
     return EnsembleRates(
         grid=grid,
-        phi_c=phi.mean(),
-        pi_c=pi_mean,
-        i_dot=pi_mean - pi_uc_ss,
-        g_diff=np.asarray(g_diff, dtype=float),
-        stderr_phi_c=np.sqrt(phi.variance()) / sq,
-        stderr_pi_c=np.sqrt(pi.variance()) / sq,
+        phi_c=phi_c,
+        pi_c=pi_c,
+        i_dot=pi_c - pi_uc_ss,
+        g_diff=differential_gain(v, p),
+        stderr_phi_c=stderr,
+        stderr_pi_c=stderr,
         n_samples=n,
     )
 
 
 def write_rates_csv(path, rates: EnsembleRates, display_phi=(), display_pi=()) -> None:
-    """Write the ensemble-rate data product (one row per grid node).
-
-    display_phi and display_pi hold sample paths, one per row; path j is
-    written after the ensemble columns as the pair phi_c_pathJ,pi_c_pathJ.
-    """
+    """Write the ensemble-rate data product, then path J of display_phi/pi as
+    the column pair phi_c_pathJ,pi_c_pathJ (one row per grid node)."""
     t = rates.grid.times()
     header = RATES_CSV_HEADER
     cols = [rates.phi_c, rates.pi_c, rates.i_dot, rates.g_diff,

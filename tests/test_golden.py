@@ -23,7 +23,7 @@ RUN_DIGESTS = {
     "reconstruction.csv":
         "77ae77e4d6328be6677a7ba3f7cfce6581f7f5ebd1d4276ea1124c835315bead",
     "entropy_rates.csv":
-        "45aa576e9fdb485e6be13badf29789cf43313c158323bf84789fa855ddf2fa5e",
+        "3bcb9fba1d77ba4e0bd1f92c3b464b6be38f68723998eff9cc5f563b3da352d0",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":

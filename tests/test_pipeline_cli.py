@@ -134,7 +134,8 @@ class TestEnsembleBundle:
         assert b.grid_out.n_steps == n_out and b.grid_out.dt == 2e-6
         assert b.r.shape == (6, n_out + 1, 2)
         assert b.r_hat.shape == b.r_b.shape == b.r.shape
-        assert b.theta.shape == b.phi_c.shape == (6, n_out + 1)
+        (series,) = b.series()
+        assert b.theta.shape == series.phi_c.shape == series.pi_c.shape == (6, n_out + 1)
         assert b.v_out.shape == (n_out + 1,)
         lam = rd.derive_rates(params).lambda_b
         burn = math.ceil(10.0 / (lam * 2e-6))
@@ -378,15 +379,16 @@ class TestStreamedRun:
         b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
                              decimation=cfg.decimation, chunk_size=cfg.chunk_size)
         ev = rd.difference_variance(b.paths())
-        rates = rd.ensemble_average_rates(b.series(), params)
+        (series,) = b.series()
+        rates = rd.ensemble_average_rates([series], params)
         assert result.ev.grid == ev.grid and result.ev.n_samples == ev.n_samples
         assert _bitwise_equal(result.ev.v_d, ev.v_d)
         assert _bitwise_equal(result.ev.stderr, ev.stderr)
         assert result.rates.n_samples == rates.n_samples
         for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
             assert _bitwise_equal(getattr(result.rates, name), getattr(rates, name)), name
-        assert _bitwise_equal(result.display_phi, b.phi_c[:cfg.n_display])
-        assert _bitwise_equal(result.display_pi, b.pi_c[:cfg.n_display])
+        assert _bitwise_equal(result.display_phi, series.phi_c[:cfg.n_display])
+        assert _bitwise_equal(result.display_pi, series.pi_c[:cfg.n_display])
         by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
         assert by_name["photocurrent_identity"] == b.photocurrent_residual
         assert by_name["filter_inversion_max_abs"] == b.inversion_max_abs

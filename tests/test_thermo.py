@@ -217,9 +217,14 @@ class TestEnsembleAverageRates:
         series = self._two_lane_series(params)
         out = rd.ensemble_average_rates(series, params)
         phi = np.stack([s.phi_c for s in series])
+        theta = np.stack([s.theta for s in series])
         np.testing.assert_allclose(out.phi_c, phi.mean(axis=0), rtol=1e-14)
+        # Both rates have slope -k and +k in theta, so both standard errors
+        # are k times theta's (node 0 has no scatter: both read 0 there).
+        k = params.gamma_m / (params.n_th + 0.5) + 4.0 * params.gamma_qba
         np.testing.assert_allclose(
-            out.stderr_phi_c, phi.std(axis=0, ddof=1) / math.sqrt(2), rtol=1e-14)
+            out.stderr_phi_c, k * theta.std(axis=0, ddof=1) / math.sqrt(2), rtol=1e-14)
+        assert out.stderr_phi_c.tobytes() == out.stderr_pi_c.tobytes()
         assert out.n_samples == 2
 
     def test_information_estimator_subtracts_ness_production(self, params,
