@@ -138,6 +138,13 @@ class ExperimentConfig:
             raise ConfigError(f"n_workers must be >= 0 (0 = auto), got {self.n_workers!r}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not math.isfinite(self.t_final):
+            raise ConfigError(f"t_final must be finite, got {self.t_final!r}")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ConfigError(
+                f"tail_fraction must lie in (0, 1], got {self.tail_fraction!r}")
         bad = [x for x in self.pipelines if x not in _PIPELINE_NAMES]
         if bad:
             raise ConfigError(

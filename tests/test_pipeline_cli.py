@@ -511,6 +511,30 @@ class TestCli:
         assert cli.main(["all", "--dt", "1e-5"]) == 2
         assert "too coarse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--t-final", "nan", "t_final must be finite"),
+        ("--t-final", "inf", "t_final must be finite"),
+        ("--dt", "nan", "dt must be finite and > 0"),
+        ("--dt", "0", "dt must be finite and > 0"),
+    ])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, flag, value, match):
+        assert cli.main(["thermo", flag, value, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "retrodyn: stage 'config':" in err and match in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("tail_fraction", ["0", "-0.2", "1.5", "nan"])
+    def test_tail_fraction_out_of_range_exits_2(self, tmp_path, capsys, tail_fraction):
+        # A small run, so a validator that lets the value through fails fast.
+        cfg = _write_cfg(tmp_path / "tail.cfg", (
+            f"tail_fraction = {tail_fraction}\nn_traj = 4\ndt = 2e-7\nt_final = 4e-3\n"
+            "decimation = 20\nn_workers = 1\n"))
+        out = tmp_path / "o"
+        assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "retrodyn: stage 'config': tail_fraction must lie in (0, 1]" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, stage", [("simulate", "simulate"),
                                                 ("check-fullmodel", "emit")])
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command, stage):
