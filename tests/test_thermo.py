@@ -249,6 +249,15 @@ class TestEnsembleAverageRates:
         with pytest.raises(rd.ShapeError, match="grid"):
             rd.ensemble_average_rates([mk(g1), mk(g2)], params)
 
+    def test_variance_mismatch(self, params, rates):
+        # The rates are derived from the mean theta on one variance series,
+        # so lanes that started from different variances cannot be pooled.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=100)
+        mk = lambda v0: rd.entropy_series(
+            rd.simulate_trajectory(params, g, v0, seed=9), params)
+        with pytest.raises(rd.ShapeError, match="variance series"):
+            rd.ensemble_average_rates([mk(rates.v_uc), mk(rates.v_ss)], params)
+
     def test_csv_export(self, params, tmp_path):
         series = self._two_lane_series(params)
         out = rd.ensemble_average_rates(series, params)
@@ -257,6 +266,8 @@ class TestEnsembleAverageRates:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,phi_c,pi_c,i_dot,g_diff,stderr_phi_c,stderr_pi_c"
         assert len(lines) == 1 + 301
+        with pytest.raises(rd.ShapeError, match="number of paths"):
+            rd.write_rates_csv(path, out, [series[0].phi_c], [])
 
 
 class TestEnsembleThermoStatistics:
