@@ -116,8 +116,6 @@ class GaussianModel:
 
     a_ham: np.ndarray
     channels: tuple
-    c_meas: np.ndarray
-    gamma_meas_mat: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.a_ham, dtype=float)
@@ -127,16 +125,9 @@ class GaussianModel:
             raise ModelError("a GaussianModel needs at least one channel")
         for ch in channels:
             _check_square(f"channel {ch.label!r} a_irr", ch.a_irr, dim)
-        c = np.asarray(self.c_meas, dtype=float)
-        g = np.asarray(self.gamma_meas_mat, dtype=float)
-        _check_square("c_meas", c, dim)
-        _check_square("gamma_meas_mat", g, dim)
-        for arr in (a, c, g):
-            arr.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(self, "a_ham", a)
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "c_meas", c)
-        object.__setattr__(self, "gamma_meas_mat", g)
 
     @property
     def dim(self) -> int:
@@ -191,8 +182,7 @@ def build_optomech_model(p: PhysParams) -> GaussianModel:
     drift couples X_mech to the cavity phase quadrature with strength 2g; the
     thermal channel damps and heats the mechanical block at rates Gamma_m and
     Gamma_m (n_th + 1/2), and the optical channel relaxes the cavity at kappa
-    toward vacuum. Measurement matrices describe homodyne detection of the
-    output light phase quadrature with efficiency eta_det.
+    toward vacuum.
     """
     if not p.has_cavity:
         missing = [k for k in ("omega_m", "kappa", "g") if getattr(p, k) is None]
@@ -218,12 +208,7 @@ def build_optomech_model(p: PhysParams) -> GaussianModel:
         d=np.diag([0.0, 0.0, 0.5 * kap, 0.5 * kap]),
         label="optical",
     )
-    c_meas = np.zeros((4, 4))
-    c_meas[3, 3] = np.sqrt(2.0 * kap * p.eta_det)
-    gamma_mat = np.zeros((4, 4))
-    gamma_mat[3, 3] = -np.sqrt(0.5 * kap * p.eta_det)
-    return GaussianModel(a_ham=a_ham, channels=(thermal, optical),
-                         c_meas=c_meas, gamma_meas_mat=gamma_mat)
+    return GaussianModel(a_ham=a_ham, channels=(thermal, optical))
 
 
 def build_adiabatic_model(p: PhysParams) -> GaussianModel:
@@ -252,9 +237,7 @@ def build_adiabatic_model(p: PhysParams) -> GaussianModel:
         d=np.diag([qba, 0.0]),
         label="meas_y",
     )
-    c_meas = np.sqrt(4.0 * derive_rates(p).gamma_meas) * np.eye(2)
-    return GaussianModel(a_ham=np.zeros((2, 2)), channels=(thermal, meas_x, meas_y),
-                         c_meas=c_meas, gamma_meas_mat=np.zeros((2, 2)))
+    return GaussianModel(a_ham=np.zeros((2, 2)), channels=(thermal, meas_x, meas_y))
 
 
 def lyapunov_steady_state(m: GaussianModel) -> CovMatrix:

@@ -66,13 +66,9 @@ class TestValidation:
     def test_model_needs_channels_and_matching_dims(self):
         ch4 = rd.Channel(a_irr=np.zeros((4, 4)), d=np.eye(4), label="c")
         with pytest.raises(rd.ModelError, match="channel"):
-            rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(),
-                             c_meas=np.zeros((2, 2)),
-                             gamma_meas_mat=np.zeros((2, 2)))
+            rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=())
         with pytest.raises(rd.ShapeError):
-            rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(ch4,),
-                             c_meas=np.zeros((2, 2)),
-                             gamma_meas_mat=np.zeros((2, 2)))
+            rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(ch4,))
 
     def test_cov_matrix_rejects_asymmetric(self):
         with pytest.raises(rd.ShapeError, match="symmetric"):
@@ -117,16 +113,6 @@ class TestOptomechModel:
         np.testing.assert_array_equal(
             optical.d, np.diag([0.0, 0.0, 0.5 * p.kappa, 0.5 * p.kappa]))
 
-    def test_measurement_matrices(self):
-        p = cavity_params()
-        m = rd.build_optomech_model(p)
-        assert m.c_meas[3, 3] == pytest.approx(
-            math.sqrt(2.0 * p.kappa * p.eta_det), rel=1e-15)
-        assert m.gamma_meas_mat[3, 3] == pytest.approx(
-            -math.sqrt(0.5 * p.kappa * p.eta_det), rel=1e-15)
-        assert np.count_nonzero(m.c_meas) == 1
-        assert np.count_nonzero(m.gamma_meas_mat) == 1
-
     def test_decoupled_blocks_at_zero_coupling(self):
         m = rd.build_optomech_model(decoupled_params())
         assert not np.any(m.a_ham[:2, 2:]) and not np.any(m.a_ham[2:, :2])
@@ -164,11 +150,6 @@ class TestAdiabaticModel:
         s = mx.a_irr + my.a_irr
         np.testing.assert_array_equal(s, np.array([[0.0, q], [-q, 0.0]]))
 
-    def test_measurement_matrix(self, params, rates):
-        m = rd.build_adiabatic_model(params)
-        np.testing.assert_allclose(
-            m.c_meas, math.sqrt(4.0 * rates.gamma_meas) * np.eye(2), rtol=1e-15)
-
 
 class TestLyapunov:
     def test_decoupled_steady_state_is_thermal(self):
@@ -190,9 +171,7 @@ class TestLyapunov:
 
     def test_non_hurwitz_rejected(self):
         ch = rd.Channel(a_irr=0.1 * np.eye(2), d=np.eye(2), label="anti")
-        m = rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(ch,),
-                             c_meas=np.zeros((2, 2)),
-                             gamma_meas_mat=np.zeros((2, 2)))
+        m = rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(ch,))
         with pytest.raises(rd.StabilityError, match="Hurwitz"):
             rd.lyapunov_steady_state(m)
 
@@ -214,8 +193,7 @@ class TestLyapunov:
         scaled = rd.GaussianModel(
             a_ham=base.a_ham,
             channels=tuple(rd.Channel(a_irr=c.a_irr, d=s * c.d, label=c.label)
-                           for c in base.channels),
-            c_meas=base.c_meas, gamma_meas_mat=base.gamma_meas_mat)
+                           for c in base.channels))
         v1 = rd.lyapunov_steady_state(base).v
         v2 = rd.lyapunov_steady_state(scaled).v
         np.testing.assert_allclose(v2, s * v1, rtol=1e-9, atol=1e-12)
@@ -269,9 +247,7 @@ class TestChannelRates:
     def test_support_violation_rejected(self):
         bad = rd.Channel(a_irr=np.array([[0.0, 0.0], [1.0, 0.0]]),
                          d=np.diag([1.0, 0.0]), label="off-support")
-        m = rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(bad,),
-                             c_meas=np.zeros((2, 2)),
-                             gamma_meas_mat=np.zeros((2, 2)))
+        m = rd.GaussianModel(a_ham=np.zeros((2, 2)), channels=(bad,))
         with pytest.raises(rd.ModelError, match="support"):
             rd.channel_entropy_rates(m, rd.CovMatrix(v=np.eye(2)))
 
