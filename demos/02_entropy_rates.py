@@ -44,9 +44,9 @@ def main(out_path="entropy_rates_demo.csv"):
     target = pi_uc + rd.information_rate(bundle.v_out, p)
     z_pi = np.abs(er.pi_c[1:] - target[1:]) / er.stderr_pi_c[1:]
     z_phi = np.abs(er.phi_c[1:] - phi_uc) / er.stderr_phi_c[1:]
-    print(f"ensemble of {bundle.r.shape[0]}: "
+    print(f"ensemble of {bundle.theta.shape[0]}: "
           f"max |z| for Pi_c = Pi_uc + I_dot(V): {float(z_pi.max()):.2f}")
-    print(f"ensemble of {bundle.r.shape[0]}: "
+    print(f"ensemble of {bundle.theta.shape[0]}: "
           f"max |z| for Phi_c = Phi_uc        : {float(z_phi.max()):.2f}")
 
     rd.write_rates_csv(out_path, er)

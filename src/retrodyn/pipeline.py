@@ -26,11 +26,12 @@ expected to differ between reruns.
 The Riccati series is solved once per ensemble and shared by every chunk.
 A chunk runs as one time-major pass over blocks of steps, laid out
 (steps, lanes, 2): noise draws, synthesis, photocurrent and prediction
-filter, keeping only the decimated nodes and, for the backward filter, one
-retrodiction window sum per node; no array of a chunk is full-resolution.
-The kernel uses the same step helpers as simulate_batch, forward_filter
-and backward_filter(..., decimation), so every lane is bit-identical to
-the public lane-major path.
+filter. It keeps theta at the decimated nodes and, when the reconstruction
+runs, r_hat there and one retrodiction window sum per node for the backward
+filter; the synthesized means themselves are not kept, and no array of a
+chunk is full-resolution. The kernel uses the same step helpers as
+simulate_batch, forward_filter and backward_filter(..., decimation), so
+every lane is bit-identical to the public lane-major path.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ import numpy as np
 
 from . import dynamics, estimation, thermo
 from ._io import check_record, make_out_dir, write_csv, write_json
-from .dynamics import DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, TimeGrid, check_grid
+from .dynamics import (DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, PHOTOCURRENT_TOL,
+                       TimeGrid, check_grid)
 from .errors import ConfigError, ResourceError, RetrodynError, ValidationError
 from .estimation import EnsembleVariance, FilteredPath, _LaneMoments
 from .fullmodel import adiabatic_consistency_check
@@ -77,10 +79,6 @@ DEFAULT_CHUNK_SIZE = 300
 #: lanes (about 5 MB) stay cache-sized. Rounded to whole decimation
 #: windows, blocks leave the bytes alone.
 _BLOCK_STEPS = 1000
-
-#: Bound on the photocurrent_identity check value (a round-off residual
-#: in units of sqrt(dt); about 1e-15 on intact records).
-PHOTOCURRENT_TOL = 1e-12
 
 DEFAULT_N_TRAJ = 3600
 DEFAULT_MASTER_SEED = 1234
@@ -219,36 +217,29 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 class EnsembleBundle:
     """Decimated per-lane ensemble data plus shared deterministic series.
 
-    Arrays are stacked over all trajectories: r and the filtered means have
-    shape (n_traj, n_out + 1, 2); theta has (n_traj, n_out + 1). grid_out is
-    the decimated grid; v_out the Riccati solution on it. The rates phi_c and
-    pi_c are not stored: series() derives them from theta and v_out. r_b
-    and valid_stop are None for an ensemble collected without retrodiction.
-    photocurrent_residual is max |i dt - c r dt - dw| / sqrt(dt) over the
-    first chunk: the increments recovered from the photocurrent, as
-    read_trajectory_csv recovers them, against the Philox draws.
+    Arrays are stacked over all trajectories: the filtered means r_hat and
+    r_b have shape (n_traj, n_out + 1, 2); theta has (n_traj, n_out + 1).
+    The synthesized means r are not stored: r_hat equals them to
+    inversion_max_abs. grid_out is the decimated grid; v_out the Riccati
+    solution on it. The rates phi_c and pi_c are not stored: series()
+    derives them from theta and v_out. photocurrent_residual is
+    max |i dt - c r dt - dw| / sqrt(dt) over the first chunk: the
+    increments recovered from the photocurrent, as read_trajectory_csv
+    recovers them, against the Philox draws.
     """
 
     grid_out: TimeGrid
     v_out: np.ndarray
-    r: np.ndarray
     r_hat: np.ndarray
-    r_b: np.ndarray | None
+    r_b: np.ndarray
     theta: np.ndarray
-    valid_stop: int | None
+    valid_stop: int
     inversion_max_abs: float
     photocurrent_residual: float
     params: PhysParams
 
-    @property
-    def photocurrent_ok(self) -> bool:
-        """The photocurrent_identity check: the recovered increments match the draws."""
-        return self.photocurrent_residual <= PHOTOCURRENT_TOL
-
     def paths(self) -> list:
         """The ensemble as one batched FilteredPath, for difference_variance."""
-        if self.r_b is None:
-            raise ValidationError("the ensemble was collected without retrodiction")
         return [FilteredPath(grid=self.grid_out, r_hat=self.r_hat, r_b=self.r_b,
                              valid_range=(0, self.valid_stop))]
 
@@ -263,27 +254,21 @@ class EnsembleBundle:
                               theta=self.theta, v=v)]
 
 
-def _decimate_into(out, block, base: int, lo: int, hi: int, decim: int) -> None:
-    """Copy the nodes lo <= k < hi with k % decim == 0 from a time-major block
-    whose row 0 is node base into their rows of the decimated series out."""
-    first = -(-lo // decim) * decim
-    rows = block[first - base:hi - base:decim]
-    out[first // decim:first // decim + len(rows)] = rows
-
-
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
     One time-major pass over blocks of whole decimation windows draws the
     noise, synthesizes the means and the photocurrent, runs the prediction
-    filter and keeps only the decimated nodes, max |r_hat - r| and, with
-    retrodict, the retrodiction window sums, which the backward recursion
-    then turns into r_b in place. Every lane's bits equal the lane-major
-    public path (simulate_batch, forward_filter, backward_filter(...,
-    decimation)). With check_photo the chunk also returns
-    max |i dt - c r dt - dw| / sqrt(dt), the increments recovered from the
-    photocurrent against the draws (0.0 without).
+    filter and keeps only max |r_hat - r| and, at the decimated nodes, theta
+    = V + r.r/2 and, with retrodict, r_hat and the retrodiction window sums,
+    which the backward recursion then turns into r_b in place. Every lane's
+    bits equal the lane-major public path (simulate_batch, forward_filter,
+    backward_filter(..., decimation)). With check_photo the chunk also
+    returns max |i dt - c r dt - dw| / sqrt(dt), the increments recovered
+    from the photocurrent against the draws (0.0 without).
 
+    Returns (r_hat, r_b, theta, inv_max, photo_err), time-major; r_hat and
+    r_b are None without retrodict, which reads neither filtered lane.
     Top-level so process pools can pickle it. Results depend only on args,
     never on which worker runs them.
     """
@@ -293,11 +278,12 @@ def _compute_chunk(args):
     c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
     n_nodes = n // decim + 1
-    r_dec = np.zeros((n_nodes, lanes, 2))
-    rh_dec = np.zeros((n_nodes, lanes, 2))
-    rb_dec = None
+    theta = np.empty((n_nodes, lanes))
+    theta[0] = v_nodes[0]  # r(0) = 0 on every lane
+    rh_dec = rb_dec = None
     if retrodict:
         afac, bcoef = estimation._backward_coefficients(p, dt)
+        rh_dec = np.zeros((n_nodes, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
     block = decim * max(1, _BLOCK_STEPS // decim)
     r = np.zeros((block + 1, lanes, 2))
@@ -317,20 +303,23 @@ def _compute_chunk(args):
         estimation._forward_steps(r_hat[:m + 1], idt, amp[s0:s1], efac, c, dt)
         diff = r_hat[1:m + 1] - r[1:m + 1]
         inv_max = np.maximum(inv_max, np.abs(diff, out=diff).max())
+        # s0 is a whole number of windows: the block's decimated nodes
+        # s0 < k <= s1 are its rows decim, 2 decim, ...
+        rows, out = slice(decim, m + 1, decim), slice(s0 // decim + 1, s1 // decim + 1)
+        r_dec = r[rows]
+        theta[out] = (v_nodes[s0 + decim:s1 + 1:decim, None]
+                      + 0.5 * np.sum(r_dec * r_dec, axis=-1))
         if retrodict:
+            rh_dec[out] = r_hat[rows]
             estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
-        _decimate_into(r_dec, r, s0, s0 + 1, s1 + 1, decim)
-        _decimate_into(rh_dec, r_hat, s0, s0 + 1, s1 + 1, decim)
         r[0], r_hat[0] = r[m], r_hat[m]
-        # Drop the block's arrays: the next block and theta allocate theirs.
+        # Drop the block's arrays: the next block allocates its own.
         del dw, photo, idt, diff
     del r, r_hat
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], afac ** decim)
-    theta = v_nodes[::decim, None] + 0.5 * np.sum(r_dec * r_dec, axis=-1)
-    return (r_dec, rh_dec, rb_dec, theta, float(inv_max),
-            float(photo_err) / math.sqrt(dt))
+    return rh_dec, rb_dec, theta, float(inv_max), float(photo_err) / math.sqrt(dt)
 
 
 def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
@@ -361,7 +350,9 @@ def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
     def chunks():
         with ExitStack() as stack:
             if n_workers > 1 and len(jobs) > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
+                # The pool starts all its workers at once: no more than jobs.
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))))
                 results = pool.map(_compute_chunk, jobs)
             else:
                 results = map(_compute_chunk, jobs)
@@ -375,31 +366,28 @@ def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
 
 def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
                      decimation: int = DEFAULT_DECIMATION,
-                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                     n_workers: int = 1, retrodict: bool = True) -> EnsembleBundle:
-    """Run the seeded ensemble and return stacked decimated statistics.
+                     chunk_size: int = DEFAULT_CHUNK_SIZE) -> EnsembleBundle:
+    """Run the seeded ensemble in this process and return it stacked.
 
     Trajectory j uses stream index j under master_seed, so any sub-ensemble
     is bit-reproducible in isolation. The Riccati series is solved once and
-    shared by every chunk. n_workers > 1 distributes whole chunks over
-    processes; each chunk is copied into the preallocated ensemble arrays
-    at its fixed row range, so the result is worker-count independent.
-    retrodict=False skips the backward filter (r_b and valid_stop are then
-    None), which is what the measurement-off limit eta_det = 0 needs.
+    shared by every chunk; each chunk is copied into the preallocated
+    ensemble arrays at its fixed row range, so the result does not depend on
+    chunk_size. The backward filter always runs, so the measurement-off
+    limit eta_det = 0 raises RegimeError here (run_experiment's thermo
+    pipeline covers it).
     """
     grid_out, v_out, valid_stop, chunks = _ensemble_chunks(
-        p, grid, n_traj, master_seed, decimation, chunk_size, n_workers, retrodict)
+        p, grid, n_traj, master_seed, decimation, chunk_size, n_workers=1, retrodict=True)
     shape = (n_traj, grid_out.n_steps + 1)
     bundle = EnsembleBundle(
-        grid_out=grid_out, v_out=v_out,
-        r=np.empty(shape + (2,)), r_hat=np.empty(shape + (2,)),
-        r_b=np.empty(shape + (2,)) if retrodict else None,
-        theta=np.empty(shape), valid_stop=valid_stop, inversion_max_abs=0.0,
-        photocurrent_residual=0.0, params=p)
-    for (lo, hi), (*lane_data, inv_max, photo_err) in chunks:
-        for name, part in zip(("r", "r_hat", "r_b", "theta"), lane_data):
-            if part is not None:
-                getattr(bundle, name)[lo:hi] = part.swapaxes(0, 1)
+        grid_out=grid_out, v_out=v_out, r_hat=np.empty(shape + (2,)),
+        r_b=np.empty(shape + (2,)), theta=np.empty(shape), valid_stop=valid_stop,
+        inversion_max_abs=0.0, photocurrent_residual=0.0, params=p)
+    for (lo, hi), (r_hat, r_b, theta, inv_max, photo_err) in chunks:
+        bundle.r_hat[lo:hi] = r_hat.swapaxes(0, 1)
+        bundle.r_b[lo:hi] = r_b.swapaxes(0, 1)
+        bundle.theta[lo:hi] = theta.T
         bundle.inversion_max_abs = float(np.maximum(bundle.inversion_max_abs, inv_max))
         bundle.photocurrent_residual = float(np.maximum(bundle.photocurrent_residual,
                                                         photo_err))
@@ -424,7 +412,7 @@ class _EnsembleMoments:
     inversion_max_abs: float = 0.0
     photocurrent_residual: float = 0.0
 
-    def fold(self, lo, hi, _, r_hat, r_b, theta, inv_max, photo_err):
+    def fold(self, lo, hi, r_hat, r_b, theta, inv_max, photo_err):
         """Fold one chunk's result (_compute_chunk) for lanes lo <= j < hi."""
         if r_b is not None:
             stop = self.valid_stop

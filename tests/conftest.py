@@ -34,7 +34,7 @@ def grid(params) -> rd.TimeGrid:
 def ensemble(params, grid, rates) -> rd.EnsembleBundle:
     """The reference ensemble, decimated to 3001 output nodes."""
     return rd.collect_ensemble(params, grid, N_TRAJ, MASTER_SEED,
-                               decimation=10, chunk_size=300, n_workers=1)
+                               decimation=10, chunk_size=300)
 
 
 @pytest.fixture(scope="session")

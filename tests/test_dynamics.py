@@ -4,6 +4,7 @@ The Riccati equation here has an exact logistic closed form (it is a scalar
 quadratic ODE), which serves as an independent oracle for the integrator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -165,17 +166,22 @@ class TestTrajectory:
         assert s.v == rates.v_uc
         assert np.array_equal(s.r, np.zeros(2))
 
+    # The ensemble stores r_hat, which equals the synthesized r to
+    # inversion_max_abs (about 1e-14 against |r| of order 10).
+
     def test_ensemble_mean_r_unbiased(self, ensemble):
         # E[r] = 0 pointwise; skip node 0 where every lane is exactly zero
-        n = ensemble.r.shape[0]
-        mean = ensemble.r[:, 1:, :].mean(axis=0)
-        se = ensemble.r[:, 1:, :].std(axis=0, ddof=1) / math.sqrt(n)
+        assert ensemble.inversion_max_abs < 1e-9
+        n = ensemble.r_hat.shape[0]
+        mean = ensemble.r_hat[:, 1:, :].mean(axis=0)
+        se = ensemble.r_hat[:, 1:, :].std(axis=0, ddof=1) / math.sqrt(n)
         assert np.max(np.abs(mean) / se) < 4.0
 
     def test_ensemble_r_variance_tracks_theory(self, ensemble, rates):
         # per-quadrature Var[r] = v_uc - V(t) within 4 standard errors
-        n = ensemble.r.shape[0]
-        var = ensemble.r[:, 1:, :].var(axis=0, ddof=1)
+        assert ensemble.inversion_max_abs < 1e-9
+        n = ensemble.r_hat.shape[0]
+        var = ensemble.r_hat[:, 1:, :].var(axis=0, ddof=1)
         target = (rates.v_uc - ensemble.v_out[1:])[:, None]
         se = var * math.sqrt(2.0 / (n - 1))
         assert np.max(np.abs(var - target) / se) < 4.0
@@ -191,6 +197,17 @@ class TestTrajectoryCsv:
         np.testing.assert_allclose(back.v, small_traj.v, rtol=0, atol=0)
         np.testing.assert_allclose(back.photocurrent, small_traj.photocurrent,
                                    rtol=0, atol=0)
+
+    def test_read_back_record_passes_photocurrent_identity(self, small_traj, params,
+                                                          tmp_path):
+        # The read-back increments are recovered from the record, so a
+        # bitwise recomputation of the photocurrent misses by round-off.
+        path = tmp_path / "traj.csv"
+        rd.write_trajectory_csv(small_traj, path)
+        back = rd.read_trajectory_csv(path, params)
+        assert rd.verify_photocurrent_identity(back, params)
+        flipped = dataclasses.replace(back, photocurrent=-back.photocurrent)
+        assert not rd.verify_photocurrent_identity(flipped, params)
 
     def test_header_and_line_endings(self, small_traj, tmp_path):
         path = tmp_path / "traj.csv"

@@ -12,6 +12,7 @@ import pytest
 
 import retrodyn as rd
 from retrodyn import cli, dynamics, pipeline
+from retrodyn.dynamics import PHOTOCURRENT_TOL
 from retrodyn.pipeline import (
     INFORMATION_CSV_HEADER,
     VARIANCE_CSV_HEADER,
@@ -132,8 +133,7 @@ class TestEnsembleBundle:
         b = collect_ensemble(params, g, 6, 11, decimation=10, chunk_size=4)
         n_out = 200
         assert b.grid_out.n_steps == n_out and b.grid_out.dt == 2e-6
-        assert b.r.shape == (6, n_out + 1, 2)
-        assert b.r_hat.shape == b.r_b.shape == b.r.shape
+        assert b.r_hat.shape == b.r_b.shape == (6, n_out + 1, 2)
         (series,) = b.series()
         assert b.theta.shape == series.phi_c.shape == series.pi_c.shape == (6, n_out + 1)
         assert b.v_out.shape == (n_out + 1,)
@@ -141,13 +141,13 @@ class TestEnsembleBundle:
         burn = math.ceil(10.0 / (lam * 2e-6))
         assert b.valid_stop == max(n_out + 1 - burn, 0)
         assert b.inversion_max_abs < 1e-9
-        assert b.photocurrent_ok
+        assert b.photocurrent_residual <= PHOTOCURRENT_TOL
 
     def test_chunking_does_not_change_bytes(self, params):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
         one = collect_ensemble(params, g, 9, 3, decimation=5, chunk_size=9)
         many = collect_ensemble(params, g, 9, 3, decimation=5, chunk_size=2)
-        np.testing.assert_array_equal(one.r, many.r)
+        np.testing.assert_array_equal(one.r_hat, many.r_hat)
         np.testing.assert_array_equal(one.r_b, many.r_b)
         np.testing.assert_array_equal(one.theta, many.theta)
 
@@ -189,19 +189,18 @@ class TestChunkKernel:
         r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
         r_b = rd.backward_filter(traj.photocurrent, params, g, decimation=decimation)
         sl = slice(None, None, decimation)
-        assert _bitwise_equal(b.r, traj.r[:, sl])
         assert _bitwise_equal(b.r_hat, r_hat[:, sl])
         assert _bitwise_equal(b.r_b, r_b)
         assert _bitwise_equal(b.v_out, traj.v[sl])
         theta = traj.v[sl] + 0.5 * np.sum(traj.r[:, sl] ** 2, axis=-1)
         assert _bitwise_equal(b.theta, theta)
         assert b.inversion_max_abs == float(np.max(np.abs(r_hat - traj.r)))
-        assert b.photocurrent_ok
+        assert b.photocurrent_residual <= PHOTOCURRENT_TOL
 
     def test_chunk_holds_no_full_resolution_array(self, params):
         # A chunk keeps one retrodiction window sum per output node. One
         # array with a row per step would be full_res on its own; the peak
-        # also holds the stacked bundle (13 MB) and the chunk's result.
+        # also holds the stacked bundle (7 MB) and the chunk's result.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
         full_res = (g.n_steps + 1) * 60 * 2 * np.dtype(float).itemsize
         tracemalloc.start()
@@ -222,19 +221,24 @@ class TestChunkKernel:
 
         monkeypatch.setattr(dynamics, "solve_conditional_variance", counting)
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        collect_ensemble(params, g, 7, 3, decimation=5, chunk_size=2, n_workers=1)
+        collect_ensemble(params, g, 7, 3, decimation=5, chunk_size=2)
         assert len(calls) == 1
 
-    def test_without_retrodiction(self, params):
+    def test_thermo_only_chunk_keeps_no_filtered_lanes(self, params):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        full = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=3)
-        fwd = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=3,
-                               retrodict=False)
-        assert fwd.r_b is None and fwd.valid_stop is None
-        assert _bitwise_equal(fwd.r_hat, full.r_hat)
-        assert _bitwise_equal(fwd.theta, full.theta)
-        with pytest.raises(rd.ValidationError, match="retrodiction"):
-            fwd.paths()
+        v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+        mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+        r_hat, r_b, theta, _, _ = pipeline._compute_chunk(
+            (params, g, v, mids, 3, 0, 4, 5, False, True))
+        assert r_hat is None and r_b is None
+        b = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=4)
+        assert _bitwise_equal(theta.T, b.theta)
+
+    def test_measurement_off_raises_regime_error(self, params):
+        p = rd.PhysParams(**{**vars(params), "eta_det": 0.0})
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
+        with pytest.raises(rd.RegimeError):
+            collect_ensemble(p, g, 4, 3, decimation=5)
 
 
 class TestUnmonitored:
@@ -312,6 +316,13 @@ class TestRunDeterminism:
         out_d = tmp_path / "run_d"
         run_experiment(small_config(out_d, chunk_size=SMALL_RUN["n_traj"]))
         assert _read_products(out_a) == _read_products(out_d)
+
+    def test_thermo_only_run_writes_the_same_rates(self, first_run, tmp_path):
+        out_a, _ = first_run
+        out_t = tmp_path / "thermo"
+        run_experiment(small_config(out_t, pipelines=("thermo",)))
+        for name in ("entropy_rates.csv", "information.csv"):
+            assert (out_t / name).read_bytes() == (out_a / name).read_bytes(), name
 
     def test_csv_headers(self, first_run):
         out, _ = first_run
@@ -576,6 +587,29 @@ class TestCli:
         assert cli.main(["thermo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"retrodyn: stage 'simulate': {type(exc).__name__}" in err
+
+    def test_pool_never_exceeds_the_chunk_count(self, tmp_path, monkeypatch):
+        # A process pool forks all its workers at once; idle ones cost memory.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        cfg = default_config(out_dir=str(tmp_path), n_workers=64, n_traj=4,
+                             chunk_size=2, t_final=1e-4, pipelines=("thermo",))
+        run_experiment(cfg)
+        assert sizes == [2]
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--out", str(tmp_path / "r"),
