@@ -215,13 +215,18 @@ def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _measurement_strength(p: PhysParams) -> float:
+    """c = sqrt(4 eta Gamma_qba), the weight of the means in the record."""
+    return math.sqrt(4.0 * p.eta_det * p.gamma_qba)
+
+
 def _mean_coefficients(p: PhysParams, dt: float, v_mids):
     """(c, amp, efac) shared by the synthesis and the forward filter.
 
-    c = sqrt(4 eta Gamma_qba) is the measurement strength, amp = c V_mid the
-    noise amplitude per step and efac = 1 - Gamma_m dt / 2 the drift factor.
+    c is the measurement strength, amp = c V_mid the noise amplitude per
+    step and efac = 1 - Gamma_m dt / 2 the drift factor.
     """
-    c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
+    c = _measurement_strength(p)
     return c, c * v_mids, 1.0 - 0.5 * p.gamma_m * dt
 
 
@@ -320,10 +325,15 @@ def verify_photocurrent_identity(traj: Trajectory, p: PhysParams) -> bool:
     The increments recovered from the record, as read_trajectory_csv
     recovers them, must match dw to PHOTOCURRENT_TOL in units of sqrt(dt):
     the residual and bound of a run's photocurrent_identity check.
+
+    The check needs dw from an independent source, such as the Philox draws
+    of simulate_trajectory. On a record read back by read_trajectory_csv, dw
+    was recovered by this same formula, so the residual is exactly 0 and the
+    check cannot detect a corrupted file.
     """
     dt = traj.grid.dt
-    c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
-    dw = _recovered_increments(traj.photocurrent, traj.r[..., :-1, :], c, dt)
+    dw = _recovered_increments(traj.photocurrent, traj.r[..., :-1, :],
+                               _measurement_strength(p), dt)
     return float(np.max(np.abs(dw - traj.dw))) / math.sqrt(dt) <= PHOTOCURRENT_TOL
 
 
@@ -363,7 +373,6 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
     photo = data[:-1, 4:6].copy()
     if not np.all(np.isfinite(photo)):
         raise ShapeError(f"{path}: non-finite photocurrent before the terminal row")
-    c = math.sqrt(4.0 * p.eta_det * p.gamma_qba)
-    dw = _recovered_increments(photo, r[:-1], c, grid.dt)
+    dw = _recovered_increments(photo, r[:-1], _measurement_strength(p), grid.dt)
     return Trajectory(grid=grid, r=r, v=v, dw=dw, photocurrent=photo,
                       seed=-1, stream=0)

@@ -112,8 +112,9 @@ class EnsembleVariance:
     stderr: np.ndarray
 
 
-def _resolve_variance(p: PhysParams, grid: TimeGrid, v_series) -> tuple[np.ndarray, np.ndarray]:
-    """Node and midpoint variance series for the filter gain."""
+def _variance_midpoints(p: PhysParams, grid: TimeGrid, v_series) -> np.ndarray:
+    """Midpoint variance series for the filter gain, from v_series (node
+    values) or, when None, from the Riccati solution."""
     if v_series is None:
         v_nodes = solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     else:
@@ -122,7 +123,7 @@ def _resolve_variance(p: PhysParams, grid: TimeGrid, v_series) -> tuple[np.ndarr
             raise ShapeError(
                 f"v_series must have {grid.n_steps + 1} node values, got shape {v_nodes.shape}"
             )
-    return v_nodes, conditional_variance_midpoints(p, v_nodes, grid.dt)
+    return conditional_variance_midpoints(p, v_nodes, grid.dt)
 
 
 def _time_major_increments(photocurrent, grid: TimeGrid) -> np.ndarray:
@@ -154,8 +155,7 @@ def forward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
     Returns the estimate at the nodes, shape (..., n_steps + 1, 2).
     """
     idt = _time_major_increments(photocurrent, grid)
-    _, v_mids = _resolve_variance(p, grid, v_series)
-    c, amp, efac = _mean_coefficients(p, grid.dt, v_mids)
+    c, amp, efac = _mean_coefficients(p, grid.dt, _variance_midpoints(p, grid, v_series))
     out = np.zeros((grid.n_steps + 1,) + idt.shape[1:])
     if r0 is not None:
         out[0] = np.asarray(r0, dtype=float)

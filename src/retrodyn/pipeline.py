@@ -11,17 +11,19 @@ run_experiment turns a configuration into the figure-ready data products:
 
 Everything except manifest.json is a pure function of the configuration:
 trajectories are keyed (master_seed, stream) with stream = trajectory index,
-and every ensemble reduction is a lane-order fold: chunk results arrive in
-stream-index order and each is folded lane by lane into per-node running
-moments (count, mean, M2; Welford's update), then dropped. Only r_hat - r_b
-and theta = V + r.r/2 are folded: the entropy rates, affine in theta, are
-derived from its moments and the display paths from its first lanes, as in
+and every ensemble reduction is a lane-order fold. One function, _ensemble,
+runs every ensemble: chunk results arrive in stream-index order and each is
+folded lane by lane into the per-node running moments (count, mean, M2;
+Welford's update) of one EnsembleBundle, which also keeps the chunk's lanes
+below n_kept; then the chunk is dropped. Only r_hat - r_b and theta = V +
+r.r/2 are folded: the entropy rates, affine in theta, are derived from its
+moments and the display paths from its kept lanes, as in
 difference_variance and ensemble_average_rates, so a run's products equal
-theirs on the stacked collect_ensemble bit for bit; byte-identical
-files come out regardless of how many workers run the chunks and how large
-the chunks are, and memory does not grow with the ensemble size. The
-manifest records wall time and library versions and is the one file
-expected to differ between reruns.
+theirs on collect_ensemble, which keeps every lane, bit for bit;
+byte-identical files come out regardless of how many workers run the
+chunks and how large the chunks are, and a run's memory does not grow with
+the ensemble size. The manifest records wall time and library versions and
+is the one file expected to differ between reruns.
 
 The Riccati series is solved once per ensemble and shared by every chunk.
 A chunk runs as one time-major pass over blocks of steps, laid out
@@ -42,7 +44,6 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -215,36 +216,40 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 
 @dataclass
 class EnsembleBundle:
-    """Decimated per-lane ensemble data plus shared deterministic series.
+    """What an ensemble run keeps: per-node lane moments, its first lanes
+    and the kernel's check values.
 
-    Arrays are stacked over all trajectories: the filtered means r_hat and
-    r_b have shape (n_traj, n_out + 1, 2); theta has (n_traj, n_out + 1).
-    The synthesized means r are not stored: r_hat equals them to
-    inversion_max_abs. grid_out is the decimated grid; v_out the Riccati
-    solution on it. The rates phi_c and pi_c are not stored: series()
-    derives them from theta and v_out. photocurrent_residual is
-    max |i dt - c r dt - dw| / sqrt(dt) over the first chunk: the
+    d_moments holds the moments of r_hat - r_b on the valid window (nodes
+    0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
+    those of theta = V + r.r/2. The first n_kept lanes are stacked: r_hat
+    and r_b with shape (n_kept, n_out + 1, 2), None without retrodiction,
+    and theta with shape (n_kept, n_out + 1). The synthesized means r are
+    not stored: r_hat equals them to inversion_max_abs. grid_out is the
+    decimated grid; v_out the Riccati solution on it. photocurrent_residual
+    is max |i dt - c r dt - dw| / sqrt(dt) over the first chunk: the
     increments recovered from the photocurrent, as read_trajectory_csv
     recovers them, against the Philox draws.
     """
 
     grid_out: TimeGrid
     v_out: np.ndarray
-    r_hat: np.ndarray
-    r_b: np.ndarray
+    valid_stop: int | None
+    r_hat: np.ndarray | None
+    r_b: np.ndarray | None
     theta: np.ndarray
-    valid_stop: int
-    inversion_max_abs: float
-    photocurrent_residual: float
     params: PhysParams
+    d_moments: _LaneMoments = field(default_factory=_LaneMoments)
+    theta_moments: _LaneMoments = field(default_factory=_LaneMoments)
+    inversion_max_abs: float = 0.0
+    photocurrent_residual: float = 0.0
 
     def paths(self) -> list:
-        """The ensemble as one batched FilteredPath, for difference_variance."""
+        """The kept lanes as one batched FilteredPath, for difference_variance."""
         return [FilteredPath(grid=self.grid_out, r_hat=self.r_hat, r_b=self.r_b,
                              valid_range=(0, self.valid_stop))]
 
     def series(self) -> list:
-        """The ensemble as one batched EntropySeries; its rates derived from theta."""
+        """The kept lanes as one batched EntropySeries; its rates derived from theta."""
         v, p = self.v_out, self.params
         phi_c, pi_c = thermo.theta_rates(self.theta, v, p)
         return [EntropySeries(grid=self.grid_out, phi_c=phi_c, pi_c=pi_c,
@@ -252,6 +257,25 @@ class EnsembleBundle:
                               i_dot=thermo.information_rate(v, p),
                               g_diff=thermo.differential_gain(v, p),
                               theta=self.theta, v=v)]
+
+    def _fold(self, bounds, results) -> None:
+        """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
+        each (lo, hi) in bounds, in that order, lane by lane."""
+        for lo, hi in bounds:
+            r_hat, r_b, theta, inv_max, photo_err = next(results)
+            k = max(min(hi, len(self.theta)) - lo, 0)
+            if r_b is not None:
+                stop = self.valid_stop
+                self.d_moments.fold((r_hat[:stop] - r_b[:stop]).swapaxes(0, 1))
+                self.r_hat[lo:lo + k] = r_hat[:, :k].swapaxes(0, 1)
+                self.r_b[lo:lo + k] = r_b[:, :k].swapaxes(0, 1)
+            self.theta_moments.fold(theta.T)
+            self.theta[lo:lo + k] = theta[:, :k].T
+            self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
+            self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
+                                                          photo_err))
+            # Drop the chunk's lanes before the next chunk is computed.
+            del r_hat, r_b, theta
 
 
 def _compute_chunk(args):
@@ -322,15 +346,15 @@ def _compute_chunk(args):
     return rh_dec, rb_dec, theta, float(inv_max), float(photo_err) / math.sqrt(dt)
 
 
-def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
-                     decimation: int, chunk_size: int, n_workers: int,
-                     retrodict: bool):
-    """Run a seeded ensemble chunk by chunk, in stream-index order.
+def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
+              decimation: int, chunk_size: int, n_workers: int, retrodict: bool,
+              n_kept: int) -> EnsembleBundle:
+    """Run a seeded ensemble chunk by chunk and fold it into an EnsembleBundle.
 
-    Returns (grid_out, v_out, valid_stop, chunks). The Riccati series is
-    solved once and shared by every chunk; chunks yields ((lo, hi), result
-    of _compute_chunk) for lanes lo <= j < hi in increasing lo, whether the
-    chunks run here or, for n_workers > 1, in a process pool.
+    The Riccati series is solved once and shared by every chunk. Chunks run
+    here or, for n_workers > 1 (0 = one per available CPU), in a process
+    pool, and are folded in stream-index order as they arrive, then dropped;
+    the bundle keeps the first n_kept lanes.
     """
     if n_traj < 2:
         raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
@@ -341,107 +365,39 @@ def _ensemble_chunks(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
              lo == 0) for lo, hi in bounds]
     n_out = grid.n_steps // decimation
     grid_out = TimeGrid(t0=grid.t0, dt=grid.dt * decimation, n_steps=n_out)
-    valid_stop = (max(n_out + 1 - estimation.burn_in_steps(p, grid_out.dt), 0)
-                  if retrodict else None)
+    kept = (n_kept, n_out + 1)
+    bundle = EnsembleBundle(
+        grid_out=grid_out, v_out=v_nodes[::decimation].copy(),
+        valid_stop=(max(n_out + 1 - estimation.burn_in_steps(p, grid_out.dt), 0)
+                    if retrodict else None),
+        r_hat=np.empty(kept + (2,)) if retrodict else None,
+        r_b=np.empty(kept + (2,)) if retrodict else None,
+        theta=np.empty(kept), params=p)
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-
-    def chunks():
-        with ExitStack() as stack:
-            if n_workers > 1 and len(jobs) > 1:
-                # The pool starts all its workers at once: no more than jobs.
-                pool = stack.enter_context(
-                    ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))))
-                results = pool.map(_compute_chunk, jobs)
-            else:
-                results = map(_compute_chunk, jobs)
-            # A fresh pair per chunk: zip would hold the previous chunk's
-            # arrays in its reused result tuple while the next one runs.
-            for lo, hi in bounds:
-                yield (lo, hi), next(results)
-
-    return grid_out, v_nodes[::decimation].copy(), valid_stop, chunks()
+    if n_workers > 1 and len(jobs) > 1:
+        # The pool starts all its workers at once: no more than jobs.
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+            bundle._fold(bounds, pool.map(_compute_chunk, jobs))
+    else:
+        bundle._fold(bounds, map(_compute_chunk, jobs))
+    return bundle
 
 
 def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
                      decimation: int = DEFAULT_DECIMATION,
                      chunk_size: int = DEFAULT_CHUNK_SIZE) -> EnsembleBundle:
-    """Run the seeded ensemble in this process and return it stacked.
+    """Run the seeded ensemble in this process and keep every lane.
 
     Trajectory j uses stream index j under master_seed, so any sub-ensemble
-    is bit-reproducible in isolation. The Riccati series is solved once and
-    shared by every chunk; each chunk is copied into the preallocated
-    ensemble arrays at its fixed row range, so the result does not depend on
+    is bit-reproducible in isolation, and the result does not depend on
     chunk_size. The backward filter always runs, so the measurement-off
     limit eta_det = 0 raises RegimeError here (run_experiment's thermo
     pipeline covers it).
     """
-    grid_out, v_out, valid_stop, chunks = _ensemble_chunks(
-        p, grid, n_traj, master_seed, decimation, chunk_size, n_workers=1, retrodict=True)
-    shape = (n_traj, grid_out.n_steps + 1)
-    bundle = EnsembleBundle(
-        grid_out=grid_out, v_out=v_out, r_hat=np.empty(shape + (2,)),
-        r_b=np.empty(shape + (2,)), theta=np.empty(shape), valid_stop=valid_stop,
-        inversion_max_abs=0.0, photocurrent_residual=0.0, params=p)
-    for (lo, hi), (r_hat, r_b, theta, inv_max, photo_err) in chunks:
-        bundle.r_hat[lo:hi] = r_hat.swapaxes(0, 1)
-        bundle.r_b[lo:hi] = r_b.swapaxes(0, 1)
-        bundle.theta[lo:hi] = theta.T
-        bundle.inversion_max_abs = float(np.maximum(bundle.inversion_max_abs, inv_max))
-        bundle.photocurrent_residual = float(np.maximum(bundle.photocurrent_residual,
-                                                        photo_err))
-    return bundle
-
-
-@dataclass
-class _EnsembleMoments:
-    """What a run keeps of its ensemble: per-node lane moments, the first
-    display lanes of theta and the kernel's check values.
-
-    d holds the moments of r_hat - r_b on the valid window (nodes
-    0 <= k < valid_stop); it stays empty without retrodiction.
-    """
-
-    grid_out: TimeGrid
-    v_out: np.ndarray
-    valid_stop: int | None
-    display_theta: np.ndarray
-    d: _LaneMoments = field(default_factory=_LaneMoments)
-    theta: _LaneMoments = field(default_factory=_LaneMoments)
-    inversion_max_abs: float = 0.0
-    photocurrent_residual: float = 0.0
-
-    def fold(self, lo, hi, r_hat, r_b, theta, inv_max, photo_err):
-        """Fold one chunk's result (_compute_chunk) for lanes lo <= j < hi."""
-        if r_b is not None:
-            stop = self.valid_stop
-            self.d.fold((r_hat[:stop] - r_b[:stop]).swapaxes(0, 1))
-        self.theta.fold(theta.T)
-        k = max(min(hi, len(self.display_theta)) - lo, 0)
-        self.display_theta[lo:lo + k] = theta[:, :k].T
-        self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
-        self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
-                                                      photo_err))
-
-
-def _stream_ensemble(config: ExperimentConfig, retrodict: bool) -> _EnsembleMoments:
-    """Fold the run's ensemble into per-node moments, chunk by chunk.
-
-    Each chunk is folded lane by lane in stream-index order as it arrives
-    and then dropped, so memory does not grow with n_traj. The fold is the
-    one difference_variance and ensemble_average_rates use, so the moments
-    equal theirs bit for bit on the stacked ensemble of collect_ensemble.
-    """
-    grid_out, v_out, valid_stop, chunks = _ensemble_chunks(
-        config.params, config.grid(), config.n_traj, config.master_seed,
-        config.decimation, config.chunk_size, config.n_workers, retrodict)
-    display = (min(config.n_display, config.n_traj), grid_out.n_steps + 1)
-    ens = _EnsembleMoments(grid_out, v_out, valid_stop, np.empty(display))
-    for (lo, hi), result in chunks:
-        ens.fold(lo, hi, *result)
-        del result  # drop the chunk's lanes before the next chunk is computed
-    return ens
+    return _ensemble(p, grid, n_traj, master_seed, decimation, chunk_size,
+                     n_workers=1, retrodict=True, n_kept=n_traj)
 
 
 @dataclass
@@ -505,7 +461,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     ens = None
     if need_ensemble:
         with _Stage("simulate"):
-            ens = _stream_ensemble(config, retrodict="reconstruct" in config.pipelines)
+            ens = _ensemble(p, config.grid(), config.n_traj, config.master_seed,
+                            config.decimation, config.chunk_size, config.n_workers,
+                            retrodict="reconstruct" in config.pipelines,
+                            n_kept=min(config.n_display, config.n_traj))
         checks["invariants"].append(check_record(
             "photocurrent_identity", ens.photocurrent_residual, 0.0, PHOTOCURRENT_TOL))
         checks["invariants"].append(check_record(
@@ -518,7 +477,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     if "reconstruct" in config.pipelines:
         with _Stage("reconstruct"):
             ev = estimation._pooled_difference_variance(
-                ens.d.variance(), ens.d.count, ens.grid_out, 0)
+                ens.d_moments.variance(), ens.d_moments.count, ens.grid_out, 0)
             v_rec, v_ss_est = estimation.reconstruct_conditional_variance(
                 ev, p, mode=config.mode, tail_fraction=config.tail_fraction)
             v_true = ens.v_out[:ev.grid.n_steps + 1]
@@ -532,16 +491,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     if "thermo" in config.pipelines:
         with _Stage("thermo"):
-            rates = thermo._ensemble_rates(ens.theta, ens.v_out, ens.grid_out, p)
-            display_phi, display_pi = thermo.theta_rates(ens.display_theta,
-                                                         ens.v_out, p)
-            theta_mean = ens.theta.mean()
-            theta_se = np.sqrt(ens.theta.variance()) / math.sqrt(config.n_traj)
+            rates = thermo._ensemble_rates(ens.theta_moments, ens.v_out, ens.grid_out, p)
+            display_phi, display_pi = thermo.theta_rates(ens.theta, ens.v_out, p)
+            theta_mean = ens.theta_moments.mean()
+            theta_se = np.sqrt(ens.theta_moments.variance()) / math.sqrt(config.n_traj)
             # Nodes without ensemble scatter (node 0, where r(0) = 0 on every
             # lane, and every node at eta_det = 0) make a z a ratio of
             # round-off terms; test them as identities instead. The fold
             # gives such nodes their common value exactly and M2 == 0.
-            scatter = ens.theta.m2 > 0
+            scatter = ens.theta_moments.m2 > 0
             dev = np.abs(theta_mean - rates_d.v_uc)
             z_theta = float(np.max(dev[scatter] / theta_se[scatter], initial=0.0))
             t0_dev = float(np.max(dev[~scatter]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import retrodyn as rd
-from retrodyn import cli, dynamics, pipeline
+from retrodyn import cli, dynamics, estimation, pipeline, thermo
 from retrodyn.dynamics import PHOTOCURRENT_TOL
 from retrodyn.pipeline import (
     INFORMATION_CSV_HEADER,
@@ -161,6 +161,20 @@ class TestEnsembleBundle:
         np.testing.assert_array_equal(series.theta, b.theta)
         np.testing.assert_array_equal(
             series.i_dot, rd.information_rate(b.v_out, params))
+
+    def test_moments_equal_public_reductions(self, params):
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=10000)
+        b = collect_ensemble(params, g, 7, 3, decimation=10, chunk_size=3)
+        ev = rd.difference_variance(b.paths())
+        own = estimation._pooled_difference_variance(
+            b.d_moments.variance(), b.d_moments.count, b.grid_out, 0)
+        assert own.grid == ev.grid and own.n_samples == ev.n_samples
+        assert _bitwise_equal(own.v_d, ev.v_d) and _bitwise_equal(own.stderr, ev.stderr)
+        rates = rd.ensemble_average_rates(b.series(), params)
+        own = thermo._ensemble_rates(b.theta_moments, b.v_out, b.grid_out, params)
+        assert own.n_samples == rates.n_samples == 7
+        for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
+            assert _bitwise_equal(getattr(own, name), getattr(rates, name)), name
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -403,6 +417,19 @@ class TestStreamedRun:
         by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
         assert by_name["photocurrent_identity"] == b.photocurrent_residual
         assert by_name["filter_inversion_max_abs"] == b.inversion_max_abs
+
+    def test_display_lanes_span_chunks(self, params, tmp_path):
+        # Five display lanes over chunks of two: the kept lanes of the third
+        # chunk end inside it.
+        cfg = default_config(out_dir=str(tmp_path), n_traj=8, t_final=3e-4,
+                             chunk_size=2, n_display=5, n_workers=1,
+                             pipelines=("thermo",))
+        result = run_experiment(cfg)
+        b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
+                             decimation=cfg.decimation, chunk_size=cfg.chunk_size)
+        (series,) = b.series()
+        assert _bitwise_equal(result.display_phi, series.phi_c[:5])
+        assert _bitwise_equal(result.display_pi, series.pi_c[:5])
 
     def test_peak_memory_does_not_grow_with_n_traj(self, tmp_path):
         # Fixed chunks, so the per-chunk working set is the same at both N;
