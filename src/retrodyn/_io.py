@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 
 def make_out_dir(path) -> None:
@@ -24,12 +24,15 @@ def make_out_dir(path) -> None:
 
 
 def write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns under a header line, one row per index."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    """Write 1-D columns of equal length under a header line, one row per
+    index; any other shapes are a ShapeError and leave no file."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shapes = [c.shape for c in columns]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ShapeError(f"{path}: columns must be 1-D of equal length, got shapes {shapes}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
 
 
 def check_record(name: str, value: float, reference: float, tolerance: float) -> dict:

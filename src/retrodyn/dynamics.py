@@ -357,11 +357,18 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
     """Rebuild a Trajectory from a full-resolution CSV export.
 
     The grid step is inferred from the t column; dw is recovered from the
-    photocurrent identity. Raises ShapeError for ragged or non-uniform files.
+    photocurrent identity. Raises ShapeError for ragged, non-numeric or
+    non-uniform files and for non-finite values anywhere but the terminal
+    row's photocurrent.
     """
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim != 2 or data.shape[1] != 6 or data.shape[0] < 2:
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
+    if data.shape[1] != 6 or data.shape[0] < 2:
         raise ShapeError(f"{path}: expected rows of 6 columns ({CSV_HEADER})")
+    if not np.all(np.isfinite(data[:, :4])):
+        raise ShapeError(f"{path}: non-finite t, r or v")
     t = data[:, 0]
     dts = np.diff(t)
     dt = dts[0]

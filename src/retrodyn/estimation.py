@@ -70,6 +70,7 @@ __all__ = [
     "backward_filter",
     "burn_in_steps",
     "filter_record",
+    "filter_trajectory",
     "difference_variance",
     "reconstruct_conditional_variance",
     "write_reconstruction_csv",
@@ -403,7 +404,4 @@ def reconstruct_conditional_variance(ev: EnsembleVariance, p: PhysParams,
 
 def write_reconstruction_csv(path, ev: EnsembleVariance, v_rec) -> None:
     """Write the ``t,v_d,stderr,v_rec`` data product for an ensemble."""
-    v_rec = np.asarray(v_rec, dtype=float)
-    if v_rec.shape != ev.v_d.shape:
-        raise ShapeError("v_rec and ev.v_d must have matching shapes")
     write_csv(path, RECONSTRUCTION_CSV_HEADER, [ev.grid.times(), ev.v_d, ev.stderr, v_rec])

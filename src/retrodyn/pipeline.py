@@ -530,13 +530,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         files["checks.json"] = checks_path
 
     result.wall_time_s = time.monotonic() - t_start
+    from . import __version__  # here, not at the top: the package imports this module
     manifest = {
         "config": config.echo(),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
-            "retrodyn": _package_version(),
+            "retrodyn": __version__,
         },
         "wall_time_s": result.wall_time_s,
         "files": sorted(k for k in files),
@@ -547,14 +548,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     files["manifest.json"] = manifest_path
     result.files = files
     return result
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("retrodyn")
-    except Exception:
-        return "unknown"
 
 
 def emit_reconstruction(out_dir: str, ev: EnsembleVariance, v_rec) -> str:

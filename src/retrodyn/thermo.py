@@ -282,7 +282,4 @@ def write_rates_csv(path, rates: EnsembleRates, display_phi=(), display_pi=()) -
     for j, pair in enumerate(zip(display_phi, display_pi), start=1):
         header += f",phi_c_path{j},pi_c_path{j}"
         cols.extend(pair)
-    for c in cols:
-        if np.shape(c) != t.shape:
-            raise ShapeError("ensemble rate columns must match the grid length")
     write_csv(path, header, [t] + cols)

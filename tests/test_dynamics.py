@@ -233,3 +233,21 @@ class TestTrajectoryCsv:
         path.write_text("t,rx,ry,v,ix,iy\n0,0,0,1,0,0\n1,0,0,1,0,0\n3,0,0,1,nan,nan\n")
         with pytest.raises(rd.ShapeError, match="uniform"):
             rd.read_trajectory_csv(path, params)
+
+    def test_unequal_columns_rejected(self, small_traj, tmp_path):
+        path = tmp_path / "short.csv"
+        short = dataclasses.replace(small_traj, v=small_traj.v[:-1])
+        with pytest.raises(rd.ShapeError, match="equal length"):
+            rd.write_trajectory_csv(short, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row", [
+        "1,0,0,1,0",        # ragged: five fields
+        "1,abc,0,1,0,0",    # text in rx
+        "1,0,0,nan,0,0",    # non-finite v
+    ])
+    def test_malformed_row_rejected(self, params, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,rx,ry,v,ix,iy\n0,0,0,1,0,0\n{row}\n2,0,0,1,nan,nan\n")
+        with pytest.raises(rd.ShapeError, match="bad.csv"):
+            rd.read_trajectory_csv(path, params)

@@ -376,6 +376,7 @@ class TestRunDeterminism:
         assert manifest["config"]["n_traj"] == 40
         assert manifest["config"]["master_seed"] == 77
         assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["versions"]["retrodyn"] == rd.__version__
         assert manifest["files"] == sorted(DETERMINISTIC_FILES)
 
     def test_variance_csv_tracks_riccati(self, first_run):
