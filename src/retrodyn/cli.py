@@ -18,6 +18,8 @@ from .errors import RetrodynError
 from .model import derive_rates
 from .pipeline import (
     ExperimentConfig,
+    _check_reconstruct_window,
+    _Stage,
     config_from_file,
     config_from_mapping,
     run_experiment,
@@ -61,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMAND_PIPELINES = {
+    "simulate": (),
     "reconstruct": ("reconstruct",),
     "thermo": ("thermo",),
     "check-fullmodel": ("fullmodel",),
@@ -77,23 +80,26 @@ def _load_config(args) -> ExperimentConfig:
         out_dir=args.out,
         mode=args.mode,
     )
-    if args.command in _COMMAND_PIPELINES:
-        overrides["pipelines"] = _COMMAND_PIPELINES[args.command]
+    overrides["pipelines"] = _COMMAND_PIPELINES[args.command]
     if args.config:
-        return config_from_file(args.config, **overrides)
-    return config_from_mapping({}, **overrides)
+        cfg = config_from_file(args.config, **overrides)
+    else:
+        cfg = config_from_mapping({}, **overrides)
+    _check_reconstruct_window(cfg)
+    return cfg
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    make_out_dir(cfg.out_dir)
     grid = cfg.grid()
     v0 = derive_rates(cfg.params).v_uc
     n_files = max(min(cfg.n_display, cfg.n_traj), 1)
-    for j in range(n_files):
-        traj = simulate_trajectory(cfg.params, grid, v0, cfg.master_seed, stream=j)
-        path = os.path.join(cfg.out_dir, f"trajectory_{j:03d}.csv")
-        write_trajectory_csv(traj, path, every=cfg.decimation)
-        print(path)
+    with _Stage("simulate"):
+        make_out_dir(cfg.out_dir)
+        for j in range(n_files):
+            traj = simulate_trajectory(cfg.params, grid, v0, cfg.master_seed, stream=j)
+            path = os.path.join(cfg.out_dir, f"trajectory_{j:03d}.csv")
+            write_trajectory_csv(traj, path, every=cfg.decimation)
+            print(path)
     print(f"wrote {n_files} trajectories (seed {cfg.master_seed}, "
           f"dt {grid.dt:g} s, {grid.n_steps} steps)")
     return 0

@@ -27,8 +27,10 @@ Wiener increments come from a counter-based generator (Philox) keyed by
 mapping reproducible regardless of scheduling, batching or block size.
 
 The recurrences run time-major: a batch is laid out (steps, lanes, 2), so
-one step updates every lane in one contiguous row. The step helpers
-(_draw_increments, _synthesis_steps, _photocurrent) are the one
+one step updates every lane in one contiguous row. A single lane runs the
+same loop on Python floats instead (_one_lane_blocks), which performs the
+same IEEE operations without numpy's per-call cost on a 2-element row. The
+step helpers (_draw_increments, _synthesis_steps, _photocurrent) are the one
 implementation of the synthesis; simulate_batch runs them over the whole
 grid and returns lane-major arrays, and the ensemble kernel in
 retrodyn.pipeline runs them block by block.
@@ -36,7 +38,9 @@ retrodyn.pipeline runs them block by block.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,11 +183,22 @@ def solve_conditional_variance(p: PhysParams, grid: TimeGrid, v0: float) -> np.n
     """Integrate the variance Riccati equation with classical RK4.
 
     Returns the node values, shape (n_steps + 1,). Starting from V_uc the
-    solution decreases monotonically to the steady state V_ss.
+    solution decreases monotonically to the steady state V_ss. Calls with
+    equal inputs share one solve; each call gets its own copy.
     """
     if not (math.isfinite(v0) and v0 > 0):
         raise DomainError(f"v0 must be a positive finite variance, got {v0!r}")
     check_grid(p, grid)
+    return _riccati_series(p, grid, float(v0)).copy()
+
+
+@functools.lru_cache(maxsize=2)
+def _riccati_series(p: PhysParams, grid: TimeGrid, v0: float) -> np.ndarray:
+    """The RK4 node series of solve_conditional_variance, read-only.
+
+    A record is simulated and then filtered on one grid, and each step
+    solves the same series; the cache keeps the last two.
+    """
     rates = derive_rates(p)
     four_gm = 4.0 * rates.gamma_meas
     out = np.empty(grid.n_steps + 1)
@@ -191,6 +206,7 @@ def solve_conditional_variance(p: PhysParams, grid: TimeGrid, v0: float) -> np.n
     for k in range(grid.n_steps):
         v = _rk4_step(v, grid.dt, p, rates.v_uc, four_gm)
         out[k + 1] = v
+    out.flags.writeable = False
     return out
 
 
@@ -247,17 +263,51 @@ def _draw_increments(gens, steps: int, dt: float) -> np.ndarray:
     return pairs.view(np.float64).reshape(steps, len(gens), 2)
 
 
+#: Rows per block of a one-lane recursion on Python floats: enough to spread
+#: the conversions, few enough that the float objects stay small.
+_FLOAT_BLOCK = 512
+
+
+def _one_lane_blocks(out, series, steps=None, reverse=False):
+    """The operands of a time-major recursion, in the form its loop runs on.
+
+    out has one row more than series; steps holds per-step scalars or None.
+    Several lanes: the arrays, once, so each step updates a whole row. One
+    lane (out[0].size == 2): for each quadrature, blocks of _FLOAT_BLOCK
+    rows as lists of Python floats, on which the loop does the same IEEE
+    operations without numpy's per-call cost. The loop fills the out list,
+    which is written back before the next block; blocks run in time order,
+    or reversed, so each starts from the row the one before wrote. series
+    may alias out: a block is read before it is written.
+    """
+    if out[0].size != 2:
+        yield out, series, steps
+        return
+    # Dropping the unit lane axis of a one-lane array is always a view.
+    out2, series2 = out.reshape(len(out), 2), series.reshape(len(series), 2)
+    starts = range(0, len(series), _FLOAT_BLOCK)
+    for q in (0, 1):
+        for s0 in (reversed(starts) if reverse else starts):
+            s1 = min(s0 + _FLOAT_BLOCK, len(series))
+            block = out2[s0:s1 + 1, q].tolist()
+            yield (block, series2[s0:s1, q].tolist(),
+                   None if steps is None else steps[s0:s1].tolist())
+            out2[s0:s1 + 1, q] = block
+
+
 def _synthesis_steps(r, dw, amp, efac: float) -> None:
     """Euler-Maruyama means over a time-major block, in place.
 
     r has one row more than dw; r[0] holds the starting means and row k + 1
     receives r[k] efac + amp[k] dw[k]. A row holds every lane, so one step
-    is one vectorized update of the whole batch.
+    is one vectorized update of the whole batch; one lane runs on Python
+    floats (_one_lane_blocks).
     """
-    cur = r[0]
-    for k, (a, d) in enumerate(zip(amp, dw), 1):
-        cur = cur * efac + a * d
-        r[k] = cur
+    for rows, dws, amps in _one_lane_blocks(r, dw, amp):
+        cur = rows[0]
+        for k, (a, d) in enumerate(zip(amps, dws), 1):
+            cur = cur * efac + a * d
+            rows[k] = cur
 
 
 def _photocurrent(r_start, dw, c: float, dt: float):
@@ -361,12 +411,17 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
     non-uniform files and for non-finite values anywhere but the terminal
     row's photocurrent.
     """
+    bad_rows = f"{path}: expected rows of 6 columns ({CSV_HEADER})"
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # A file without data rows is reported below, as a ShapeError.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ShapeError(f"{path}: {exc}") from exc
+        raise ShapeError(bad_rows) from exc
     if data.shape[1] != 6 or data.shape[0] < 2:
-        raise ShapeError(f"{path}: expected rows of 6 columns ({CSV_HEADER})")
+        raise ShapeError(bad_rows)
     if not np.all(np.isfinite(data[:, :4])):
         raise ShapeError(f"{path}: non-finite t, r or v")
     t = data[:, 0]

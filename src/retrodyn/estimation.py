@@ -34,9 +34,10 @@ shortcut V_ss ~ V_d(inf) / 2, is what reconstruct_conditional_variance does.
 
 Both filters have one implementation, the time-major step helpers
 _forward_steps, _window_sums and _backward_steps over (steps, lanes, 2)
-blocks. forward_filter and backward_filter move the time axis to the
-front, run them over the whole record and move it back; the ensemble
-kernel in retrodyn.pipeline runs them block by block.
+blocks; a single record runs the recursions on Python floats
+(dynamics._one_lane_blocks). forward_filter and backward_filter move the
+time axis to the front, run them over the whole record and move it back;
+the ensemble kernel in retrodyn.pipeline runs them block by block.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _mean_coefficients,
+    _one_lane_blocks,
     conditional_variance_midpoints,
     solve_conditional_variance,
 )
@@ -171,10 +173,11 @@ def _forward_steps(r_hat, idt, amp, efac: float, c: float, dt: float) -> None:
     Algebraically r_hat[k+1] = (1 - Gamma_m dt/2 - 4 Gamma_meas V dt) r_hat[k]
     + amp[k] i[k] dt.
     """
-    cur = r_hat[0]
-    for k, (a, x) in enumerate(zip(amp, idt), 1):
-        cur = cur * efac + a * (x - c * cur * dt)
-        r_hat[k] = cur
+    for rows, xs, amps in _one_lane_blocks(r_hat, idt, amp):
+        cur = rows[0]
+        for k, (a, x) in enumerate(zip(amps, xs), 1):
+            cur = cur * efac + a * (x - c * cur * dt)
+            rows[k] = cur
 
 
 def _backward_steps(r_b, bidt, afac: float) -> None:
@@ -184,10 +187,11 @@ def _backward_steps(r_b, bidt, afac: float) -> None:
     row k receives r_b[k+1] afac + bidt[k], where bidt = sqrt(4 Gamma_meas)
     V_E i dt, or its window sums with afac^D in place of afac.
     """
-    cur = r_b[-1]
-    for k in range(len(bidt) - 1, -1, -1):
-        cur = cur * afac + bidt[k]
-        r_b[k] = cur
+    for rows, xs, _ in _one_lane_blocks(r_b, bidt, reverse=True):
+        cur = rows[-1]
+        for k in range(len(xs) - 1, -1, -1):
+            cur = cur * afac + xs[k]
+            rows[k] = cur
 
 
 def _window_sums(out, idt, afac: float, bcoef: float, decim: int) -> None:
@@ -223,6 +227,11 @@ def _retrodiction_rates(p: PhysParams) -> DerivedRates:
 def burn_in_steps(p: PhysParams, dt: float) -> int:
     """Number of grid steps in the backward burn-in window 10 / lambda."""
     return math.ceil(10.0 / (_retrodiction_rates(p).lambda_b * dt))
+
+
+def _valid_stop(p: PhysParams, grid: TimeGrid) -> int:
+    """End of the nodes 0 <= k < stop of grid outside the backward burn-in."""
+    return max(grid.n_steps + 1 - burn_in_steps(p, grid.dt), 0)
 
 
 def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
@@ -261,9 +270,8 @@ def filter_record(photocurrent, p: PhysParams, grid: TimeGrid,
     """Forward- and backward-filter one record (or a batch) into a FilteredPath."""
     r_hat = forward_filter(photocurrent, p, grid, v_series)
     r_b = backward_filter(photocurrent, p, grid)
-    burn = burn_in_steps(p, grid.dt)
-    stop = max(grid.n_steps + 1 - burn, 0)
-    return FilteredPath(grid=grid, r_hat=r_hat, r_b=r_b, valid_range=(0, stop))
+    return FilteredPath(grid=grid, r_hat=r_hat, r_b=r_b,
+                        valid_range=(0, _valid_stop(p, grid)))
 
 
 def filter_trajectory(traj: Trajectory, p: PhysParams) -> FilteredPath:

@@ -52,7 +52,8 @@ from . import dynamics, estimation, thermo
 from ._io import check_record, make_out_dir, write_csv, write_json
 from .dynamics import (DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, PHOTOCURRENT_TOL,
                        TimeGrid, check_grid)
-from .errors import ConfigError, ResourceError, RetrodynError, ValidationError
+from .errors import (ConfigError, ResourceError, RetrodynError, StatisticsError,
+                     ValidationError)
 from .estimation import EnsembleVariance, FilteredPath, _LaneMoments
 from .fullmodel import adiabatic_consistency_check
 from .model import PhysParams, derive_rates, load_config, validate_params
@@ -151,6 +152,8 @@ class ExperimentConfig:
                 f"choose from {', '.join(_PIPELINE_NAMES)}"
             )
         object.__setattr__(self, "pipelines", tuple(self.pipelines))
+        if self.n_traj < 2 and {"reconstruct", "thermo"} & set(self.pipelines):
+            raise ConfigError(f"an ensemble needs n_traj >= 2, got {self.n_traj!r}")
         check_grid(self.params, self.grid())
 
     def grid(self) -> TimeGrid:
@@ -363,13 +366,11 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
     bounds = [(lo, min(lo + chunk_size, n_traj)) for lo in range(0, n_traj, chunk_size)]
     jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, retrodict,
              lo == 0) for lo, hi in bounds]
-    n_out = grid.n_steps // decimation
-    grid_out = TimeGrid(t0=grid.t0, dt=grid.dt * decimation, n_steps=n_out)
-    kept = (n_kept, n_out + 1)
+    grid_out = _decimated(grid, decimation)
+    kept = (n_kept, grid_out.n_steps + 1)
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(),
-        valid_stop=(max(n_out + 1 - estimation.burn_in_steps(p, grid_out.dt), 0)
-                    if retrodict else None),
+        valid_stop=estimation._valid_stop(p, grid_out) if retrodict else None,
         r_hat=np.empty(kept + (2,)) if retrodict else None,
         r_b=np.empty(kept + (2,)) if retrodict else None,
         theta=np.empty(kept), params=p)
@@ -383,6 +384,32 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
     else:
         bundle._fold(bounds, map(_compute_chunk, jobs))
     return bundle
+
+
+def _decimated(grid: TimeGrid, decimation: int) -> TimeGrid:
+    """The grid of every decimation-th node of grid."""
+    return TimeGrid(t0=grid.t0, dt=grid.dt * decimation,
+                    n_steps=grid.n_steps // decimation)
+
+
+def _check_reconstruct_window(config: ExperimentConfig) -> None:
+    """Refuse a reconstruction whose horizon leaves fewer than the 2 valid
+    nodes its tail needs after the backward burn-in, before anything runs.
+
+    The command line calls it with the config checks (exit 2, stage
+    'config'). It raises the reconstruction's own StatisticsError and stays
+    out of ExperimentConfig: refbench/selftest.py builds such a
+    configuration and expects its runs to fail with that error.
+    """
+    if "reconstruct" not in config.pipelines:
+        return
+    grid_out = _decimated(config.grid(), config.decimation)
+    n_valid = estimation._valid_stop(config.params, grid_out)
+    if n_valid < 2:
+        raise StatisticsError(
+            f"no valid window is left after the backward burn-in: {n_valid} of "
+            f"{grid_out.n_steps + 1} output nodes; the reconstruction needs 2, "
+            "so extend t_final")
 
 
 def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
@@ -450,6 +477,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     it carries wall time and version strings).
     """
     t_start = time.monotonic()
+    with _Stage("reconstruct"):
+        _check_reconstruct_window(config)
     with _Stage("emit"):
         make_out_dir(config.out_dir)
     p = config.params

@@ -5,12 +5,15 @@ quadratic ODE), which serves as an independent oracle for the integrator.
 """
 
 import dataclasses
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import retrodyn as rd
+from retrodyn._io import _CSV_BLOCK_ROWS, write_csv
 
 SEED = 314159
 
@@ -107,8 +110,19 @@ class TestRiccati:
         assert np.all(mids <= v[:-1]) and np.all(mids >= v[1:])
 
     def test_v0_validation(self, params, grid):
-        with pytest.raises(rd.DomainError):
-            rd.solve_conditional_variance(params, grid, -1.0)
+        # Validated on every call, not only when the series is first solved.
+        for _ in range(2):
+            with pytest.raises(rd.DomainError):
+                rd.solve_conditional_variance(params, grid, -1.0)
+
+    def test_repeated_solves_are_independent_copies(self, params, rates):
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=300)
+        first = rd.solve_conditional_variance(params, g, rates.v_uc)
+        expected = first.tobytes()
+        first[:] = -1.0
+        again = rd.solve_conditional_variance(params, g, rates.v_uc)
+        assert again.tobytes() == expected
+        assert again is not first and again.flags.writeable
 
 
 class TestTrajectory:
@@ -241,13 +255,33 @@ class TestTrajectoryCsv:
             rd.write_trajectory_csv(short, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("row", [
-        "1,0,0,1,0",        # ragged: five fields
-        "1,abc,0,1,0,0",    # text in rx
-        "1,0,0,nan,0,0",    # non-finite v
-    ])
-    def test_malformed_row_rejected(self, params, tmp_path, row):
+    @pytest.mark.parametrize("row, message", [
+        pytest.param(row, message, id=row or "header-only") for row, message in [
+            ("1,0,0,1,0", "expected rows of 6 columns"),      # ragged: five fields
+            ("1,abc,0,1,0,0", "expected rows of 6 columns"),  # text in rx
+            ("1,0,0,nan,0,0", "non-finite t, r or v"),        # non-finite v
+            (None, "expected rows of 6 columns"),             # no data rows
+        ]])
+    def test_malformed_row_rejected(self, params, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text(f"t,rx,ry,v,ix,iy\n0,0,0,1,0,0\n{row}\n2,0,0,1,nan,nan\n")
-        with pytest.raises(rd.ShapeError, match="bad.csv"):
-            rd.read_trajectory_csv(path, params)
+        body = "" if row is None else f"0,0,0,1,0,0\n{row}\n2,0,0,1,nan,nan\n"
+        path.write_text("t,rx,ry,v,ix,iy\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rd.ShapeError, match=f"bad.csv: {message}") as info:
+                rd.read_trajectory_csv(path, params)
+        assert "usecols" not in str(info.value)
+
+    def test_writer_bytes_equal_savetxt(self, tmp_path):
+        # np.savetxt is the reference format: more rows than one block, and
+        # the values whose text is easiest to get wrong.
+        rng = np.random.default_rng(SEED)
+        table = rng.standard_normal((2 * _CSV_BLOCK_ROWS + 5, 3)) * 10.0 ** rng.integers(
+            -300, 300, size=(2 * _CSV_BLOCK_ROWS + 5, 3))
+        table[:3] = [[math.nan, -0.0, 1e-300], [0.1 + 0.2, -1.0 / 3.0, math.inf],
+                     [0.0, 5e-324, -math.inf]]
+        path = tmp_path / "w.csv"
+        write_csv(path, "a,b,c", table.T)
+        ref = io.StringIO()
+        np.savetxt(ref, table, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 import retrodyn as rd
+from retrodyn.dynamics import _FLOAT_BLOCK
 from retrodyn.pipeline import _BLOCK_STEPS as BLOCK
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _flat_ev(v_d_value, n_nodes=100, stderr=1e-9, dt=1e-6):
@@ -58,14 +63,28 @@ class TestForwardFilter:
             rd.forward_filter(np.zeros((50, 2)), params, g,
                               v_series=np.ones(7))
 
-    def test_batched_record_matches_loop(self, small_traj, params):
-        stacked = np.stack([small_traj.photocurrent, 2.0 * small_traj.photocurrent])
-        batch = rd.forward_filter(stacked, params, small_traj.grid,
-                                  v_series=small_traj.v)
+    def test_batched_record_matches_loop(self, params):
+        # One lane runs its recursions on Python floats, a batch on arrays:
+        # the bits must agree. The record spans more than two float blocks
+        # and ends in a ragged one.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2 * _FLOAT_BLOCK + 301)
+        batch = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 20, [0, 1])
+        r0 = [0.25, -1.5]
+        r_hat = rd.forward_filter(batch.photocurrent, params, g, v_series=batch.v, r0=r0)
+        r_b = {d: rd.backward_filter(batch.photocurrent, params, g, decimation=d)
+               for d in (1, 7)}
         for j in range(2):
-            single = rd.forward_filter(stacked[j], params, small_traj.grid,
-                                       v_series=small_traj.v)
-            assert np.array_equal(batch[j], single)
+            lane = rd.simulate_trajectory(params, g, batch.v[0], 20, stream=j)
+            assert _bitwise_equal(lane.r, batch.r[j])
+            assert _bitwise_equal(lane.photocurrent, batch.photocurrent[j])
+            single = rd.forward_filter(lane.photocurrent, params, g, v_series=lane.v,
+                                       r0=r0)
+            assert _bitwise_equal(single, r_hat[j])
+            assert single[0].tolist() == r0
+            for d, batched in r_b.items():
+                assert _bitwise_equal(
+                    rd.backward_filter(lane.photocurrent, params, g, decimation=d),
+                    batched[j])
 
 
 class TestBackwardFilter:

@@ -68,6 +68,19 @@ class TestConfig:
             rd.ExperimentConfig(params=params, chunk_size=0)
         with pytest.raises(rd.ConfigError, match="spans no steps"):
             rd.ExperimentConfig(params=params, t_final=4e-8).grid()
+        for pipelines in (("reconstruct",), ("thermo", "fullmodel")):
+            with pytest.raises(rd.ConfigError, match="n_traj >= 2"):
+                rd.ExperimentConfig(params=params, n_traj=1, pipelines=pipelines)
+        rd.ExperimentConfig(params=params, n_traj=1, pipelines=("fullmodel",))
+
+    def test_short_horizon_reconstruction_fails_before_the_run(self, params, tmp_path):
+        # 1e-4 s is far inside the 1.9 ms backward burn-in: no valid window.
+        out = tmp_path / "o"
+        cfg = small_config(out, t_final=1e-4, pipelines=("reconstruct", "thermo"))
+        with pytest.raises(rd.StatisticsError,
+                           match="stage 'reconstruct': no valid window"):
+            run_experiment(cfg)
+        assert not out.exists()
 
     def test_coarse_step_rejected_at_construction(self, params):
         with pytest.raises(rd.GridError, match="too coarse"):
@@ -584,6 +597,30 @@ class TestCli:
         assert f"retrodyn: stage '{stage}':" in err
         assert "cannot create output directory" in err
 
+    def test_unwritable_trajectory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        (out / "trajectory_000.csv").mkdir(parents=True)
+        code = cli.main(["simulate", "--out", str(out), "--trajectories", "1",
+                         "--dt", "2e-7", "--t-final", "1e-4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "retrodyn: stage 'simulate': IsADirectoryError" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, args, match", [
+        ("reconstruct", ["--trajectories", "1"], "an ensemble needs n_traj >= 2"),
+        ("thermo", ["--trajectories", "1"], "an ensemble needs n_traj >= 2"),
+        ("reconstruct", ["--trajectories", "4", "--t-final", "1e-4"], "no valid window"),
+        ("all", ["--trajectories", "4", "--t-final", "1e-4"], "no valid window"),
+    ])
+    def test_ensemble_that_cannot_run_exits_2(self, tmp_path, capsys, command, args,
+                                              match):
+        out = tmp_path / "o"
+        assert cli.main([command, "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert "retrodyn: stage 'config':" in err and match in err
+        assert not out.exists()
+
     def test_unwritable_product_exits_1(self, tmp_path, capsys):
         out = tmp_path / "rec"
         (out / "variance.csv").mkdir(parents=True)
@@ -640,9 +677,13 @@ class TestCli:
         assert sizes == [2]
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
-        code = cli.main(["reconstruct", "--out", str(tmp_path / "r"),
-                         "--trajectories", "4", "--dt", "1e-7",
-                         "--t-final", "1.2e-3"])
+        # The whole valid window as the tail spans the decay of V(t), so the
+        # stationarity test fails inside the reconstruct stage. (A horizon
+        # inside the burn-in is refused earlier, in stage 'config'.)
+        cfg = _write_cfg(tmp_path / "tail.cfg", "tail_fraction = 1.0\nn_workers = 1\n")
+        code = cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "r"),
+                         "--trajectories", "40", "--dt", "2e-7",
+                         "--t-final", "2.5e-3"])
         assert code == 1
         err = capsys.readouterr().err
         assert "retrodyn: stage 'reconstruct':" in err
