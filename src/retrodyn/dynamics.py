@@ -200,12 +200,24 @@ def _riccati_series(p: PhysParams, grid: TimeGrid, v0: float) -> np.ndarray:
     solves the same series; the cache keeps the last two.
     """
     rates = derive_rates(p)
-    four_gm = 4.0 * rates.gamma_meas
-    out = np.empty(grid.n_steps + 1)
-    out[0] = v = v0
-    for k in range(grid.n_steps):
-        v = _rk4_step(v, grid.dt, p, rates.v_uc, four_gm)
-        out[k + 1] = v
+    gm, v_uc, four_gm, h = p.gamma_m, rates.v_uc, 4.0 * rates.gamma_meas, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+
+    def nodes(v):
+        # _rk4_step inlined on Python floats, in its operation order.
+        yield v
+        for _ in range(grid.n_steps):
+            k1 = gm * (v_uc - v) - four_gm * v * v
+            x = v + half * k1
+            k2 = gm * (v_uc - x) - four_gm * x * x
+            x = v + half * k2
+            k3 = gm * (v_uc - x) - four_gm * x * x
+            x = v + h * k3
+            k4 = gm * (v_uc - x) - four_gm * x * x
+            v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            yield v
+
+    out = np.fromiter(nodes(v0), float, grid.n_steps + 1)
     out.flags.writeable = False
     return out
 
@@ -246,21 +258,31 @@ def _mean_coefficients(p: PhysParams, dt: float, v_mids):
     return c, c * v_mids, 1.0 - 0.5 * p.gamma_m * dt
 
 
-def _draw_increments(gens, steps: int, dt: float) -> np.ndarray:
-    """Each lane's next steps x 2 increments, time-major (steps, lanes, 2).
+def _draw_increments(gens, dt: float, out, raw) -> None:
+    """Each lane's next steps x 2 increments into out, time-major (steps,
+    lanes, 2).
 
     Lane j reads the next normals of gens[j]; Philox draws no more than it
     hands out, so a record drawn block by block is bit-identical to one
-    drawn in a single call.
+    drawn in a single call. raw, at least as large as out, holds the draws
+    lane-major before the transpose.
     """
-    lanes = np.empty((len(gens), steps, 2))
+    lanes = raw.reshape(-1)[:out.size].reshape(len(gens), len(out), 2)
     for j, gen in enumerate(gens):
         gen.standard_normal(out=lanes[j])
     lanes *= math.sqrt(dt)
-    # Transpose each lane's (x, y) pair as one 16-byte element: a copy of
-    # half as many, twice as wide elements as swapping the float axes.
-    pairs = np.ascontiguousarray(lanes.view(np.complex128)[..., 0].T)
-    return pairs.view(np.float64).reshape(steps, len(gens), 2)
+    _swap_pairs(lanes, out)
+
+
+def _swap_pairs(x, out=None):
+    """x of shape (a, b, 2) as a C-ordered (b, a, 2) array, into out if given.
+
+    Each (x, y) pair moves as one 16-byte element: a copy of half as many,
+    twice as wide elements as swapping the float axes.
+    """
+    out = np.empty((x.shape[1], x.shape[0], 2)) if out is None else out
+    np.copyto(out.view(np.complex128)[..., 0], x.view(np.complex128)[..., 0].T)
+    return out
 
 
 #: Rows per block of a one-lane recursion on Python floats: enough to spread
@@ -299,10 +321,18 @@ def _synthesis_steps(r, dw, amp, efac: float) -> None:
     """Euler-Maruyama means over a time-major block, in place.
 
     r has one row more than dw; r[0] holds the starting means and row k + 1
-    receives r[k] efac + amp[k] dw[k]. A row holds every lane, so one step
-    is one vectorized update of the whole batch; one lane runs on Python
+    receives r[k] efac + amp[k] dw[k]. A row holds every lane: amp dw is
+    formed in r[1:] once per block, and each step adds r[k] efac to its row
+    in place, two ufunc calls on the whole batch. One lane runs on Python
     floats (_one_lane_blocks).
     """
+    if r[0].size != 2:
+        np.multiply(amp[:, None, None], dw, out=r[1:])
+        s = np.empty_like(r[0])
+        for cur, nxt in zip(r, r[1:]):
+            np.multiply(cur, efac, out=s)
+            np.add(s, nxt, out=nxt)
+        return
     for rows, dws, amps in _one_lane_blocks(r, dw, amp):
         cur = rows[0]
         for k, (a, d) in enumerate(zip(amps, dws), 1):
@@ -310,15 +340,27 @@ def _synthesis_steps(r, dw, amp, efac: float) -> None:
             rows[k] = cur
 
 
-def _photocurrent(r_start, dw, c: float, dt: float):
-    """Homodyne record (c r dt + dw) / dt of the steps starting at r_start."""
-    return (c * r_start * dt + dw) / dt
+def _photocurrent(r_start, dw, c: float, dt: float, out=None):
+    """Homodyne record (c r dt + dw) / dt of the steps starting at r_start,
+    into out if given."""
+    out = np.multiply(np.multiply(c, r_start, out=out), dt, out=out)
+    return np.divide(np.add(out, dw, out=out), dt, out=out)
 
 
 def _recovered_increments(photo, r_start, c: float, dt: float):
     """Wiener increments i dt - c r dt recovered from a record, the inverse
     of _photocurrent up to round-off."""
     return photo * dt - c * r_start * dt
+
+
+def _photocurrent_residual(photo, r_start, dw, c: float, dt: float) -> float:
+    """max |i dt - c r dt - dw| / sqrt(dt), the recovered increments against
+    dw, by eighths of the leading axis: no temporary exceeds an eighth."""
+    err = 0.0
+    for ph, rs, w in zip(*(np.array_split(x, 8) for x in (photo, r_start, dw))):
+        rec = np.subtract(_recovered_increments(ph, rs, c, dt), w)
+        err = np.maximum(err, np.abs(rec, out=rec).max(initial=0.0))
+    return float(err) / math.sqrt(dt)
 
 
 def simulate_trajectory(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
@@ -355,7 +397,8 @@ def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
     c, amp, efac = _mean_coefficients(
         p, grid.dt, conditional_variance_midpoints(p, v_nodes, grid.dt))
     gens = [trajectory_rng(seed, s) for s in streams]
-    dw = _draw_increments(gens, grid.n_steps, grid.dt)
+    dw = np.empty((grid.n_steps, len(streams), 2))
+    _draw_increments(gens, grid.dt, dw, np.empty_like(dw))
     r = np.zeros((grid.n_steps + 1, len(streams), 2))
     _synthesis_steps(r, dw, amp, efac)
     photo = _photocurrent(r[:-1], dw, c, grid.dt)
@@ -381,10 +424,8 @@ def verify_photocurrent_identity(traj: Trajectory, p: PhysParams) -> bool:
     was recovered by this same formula, so the residual is exactly 0 and the
     check cannot detect a corrupted file.
     """
-    dt = traj.grid.dt
-    dw = _recovered_increments(traj.photocurrent, traj.r[..., :-1, :],
-                               _measurement_strength(p), dt)
-    return float(np.max(np.abs(dw - traj.dw))) / math.sqrt(dt) <= PHOTOCURRENT_TOL
+    return _photocurrent_residual(traj.photocurrent, traj.r[..., :-1, :], traj.dw,
+                                  _measurement_strength(p), traj.grid.dt) <= PHOTOCURRENT_TOL
 
 
 def write_trajectory_csv(traj: Trajectory, path, every: int = 1) -> None:

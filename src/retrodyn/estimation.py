@@ -171,8 +171,19 @@ def _forward_steps(r_hat, idt, amp, efac: float, c: float, dt: float) -> None:
 
     r_hat has one row more than idt; r_hat[0] holds the starting estimate.
     Algebraically r_hat[k+1] = (1 - Gamma_m dt/2 - 4 Gamma_meas V dt) r_hat[k]
-    + amp[k] i[k] dt.
+    + amp[k] i[k] dt. Several lanes run the six operations of the one-lane
+    loop in place, through one scratch row.
     """
+    if r_hat[0].size != 2:
+        s = np.empty_like(r_hat[0])
+        for cur, nxt, a, x in zip(r_hat, r_hat[1:], amp, idt):
+            np.multiply(c, cur, out=s)
+            np.multiply(s, dt, out=s)
+            np.subtract(x, s, out=s)
+            np.multiply(a, s, out=s)
+            np.multiply(cur, efac, out=nxt)
+            np.add(nxt, s, out=nxt)
+        return
     for rows, xs, amps in _one_lane_blocks(r_hat, idt, amp):
         cur = rows[0]
         for k, (a, x) in enumerate(zip(amps, xs), 1):

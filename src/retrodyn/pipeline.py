@@ -30,10 +30,12 @@ A chunk runs as one time-major pass over blocks of steps, laid out
 (steps, lanes, 2): noise draws, synthesis, photocurrent and prediction
 filter. It keeps theta at the decimated nodes and, when the reconstruction
 runs, r_hat there and one retrodiction window sum per node for the backward
-filter; the synthesized means themselves are not kept, and no array of a
-chunk is full-resolution. The kernel uses the same step helpers as
-simulate_batch, forward_filter and backward_filter(..., decimation), so
-every lane is bit-identical to the public lane-major path.
+filter, and returns r_hat - r_b on the valid nodes; the synthesized means
+themselves are not kept, and no array of a chunk is full-resolution. Its
+block buffers are allocated once per chunk and sized by a lane-step
+budget, so a wider chunk takes shorter blocks. The kernel uses the same
+step helpers as simulate_batch, forward_filter and backward_filter(...,
+decimation), so every lane is bit-identical to the public lane-major path.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import math
 import os
 import platform
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
@@ -75,12 +78,12 @@ __all__ = [
 #: Trajectories per chunk: the unit of work handed to a worker. Reductions
 #: fold lane by lane in stream-index order, so the chunk size leaves the
 #: bytes alone.
-DEFAULT_CHUNK_SIZE = 300
+DEFAULT_CHUNK_SIZE = 450
 
-#: Steps per time-major block of the chunk kernel: a block's draws for 300
-#: lanes (about 5 MB) stay cache-sized. Rounded to whole decimation
-#: windows, blocks leave the bytes alone.
-_BLOCK_STEPS = 1000
+#: Lane-steps per time-major block of the chunk kernel: one block array
+#: stays at about 3.6 MB whatever the chunk width. Rounded to whole
+#: decimation windows, blocks leave the bytes alone.
+_BLOCK_LANE_STEPS = 225_000
 
 DEFAULT_N_TRAJ = 3600
 DEFAULT_MASTER_SEED = 1234
@@ -224,14 +227,15 @@ class EnsembleBundle:
 
     d_moments holds the moments of r_hat - r_b on the valid window (nodes
     0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
-    those of theta = V + r.r/2. The first n_kept lanes are stacked: r_hat
-    and r_b with shape (n_kept, n_out + 1, 2), None without retrodiction,
-    and theta with shape (n_kept, n_out + 1). The synthesized means r are
-    not stored: r_hat equals them to inversion_max_abs. grid_out is the
-    decimated grid; v_out the Riccati solution on it. photocurrent_residual
-    is max |i dt - c r dt - dw| / sqrt(dt) over the first chunk: the
-    increments recovered from the photocurrent, as read_trajectory_csv
-    recovers them, against the Philox draws.
+    those of theta = V + r.r/2. theta keeps its first n_kept lanes, shape
+    (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj,
+    n_out + 1, 2), in collect_ensemble only, and are None otherwise. The
+    synthesized means r are not stored: r_hat equals them to
+    inversion_max_abs. grid_out is the decimated grid; v_out the Riccati
+    solution on it. photocurrent_residual is max |i dt - c r dt - dw| /
+    sqrt(dt) over the first chunk: the increments recovered from the
+    photocurrent, as read_trajectory_csv recovers them, against the Philox
+    draws.
     """
 
     grid_out: TimeGrid
@@ -265,20 +269,19 @@ class EnsembleBundle:
         """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
         each (lo, hi) in bounds, in that order, lane by lane."""
         for lo, hi in bounds:
-            r_hat, r_b, theta, inv_max, photo_err = next(results)
+            d, r_hat, r_b, theta, inv_max, photo_err = next(results)
+            if d is not None:
+                self.d_moments.fold(d)
+            if r_hat is not None:
+                self.r_hat[lo:hi], self.r_b[lo:hi] = r_hat, r_b
+            self.theta_moments.fold(theta)
             k = max(min(hi, len(self.theta)) - lo, 0)
-            if r_b is not None:
-                stop = self.valid_stop
-                self.d_moments.fold((r_hat[:stop] - r_b[:stop]).swapaxes(0, 1))
-                self.r_hat[lo:lo + k] = r_hat[:, :k].swapaxes(0, 1)
-                self.r_b[lo:lo + k] = r_b[:, :k].swapaxes(0, 1)
-            self.theta_moments.fold(theta.T)
-            self.theta[lo:lo + k] = theta[:, :k].T
+            self.theta[lo:lo + k] = theta[:k]
             self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
             self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
                                                           photo_err))
             # Drop the chunk's lanes before the next chunk is computed.
-            del r_hat, r_b, theta
+            del d, r_hat, r_b, theta
 
 
 def _compute_chunk(args):
@@ -287,100 +290,125 @@ def _compute_chunk(args):
     One time-major pass over blocks of whole decimation windows draws the
     noise, synthesizes the means and the photocurrent, runs the prediction
     filter and keeps only max |r_hat - r| and, at the decimated nodes, theta
-    = V + r.r/2 and, with retrodict, r_hat and the retrodiction window sums,
-    which the backward recursion then turns into r_b in place. Every lane's
-    bits equal the lane-major public path (simulate_batch, forward_filter,
-    backward_filter(..., decimation)). With check_photo the chunk also
-    returns max |i dt - c r dt - dw| / sqrt(dt), the increments recovered
-    from the photocurrent against the draws (0.0 without).
+    = V + r.r/2 and, with retrodiction, r_hat and the retrodiction window
+    sums, which the backward recursion then turns into r_b in place. Every
+    lane's bits equal the lane-major public path (simulate_batch,
+    forward_filter, backward_filter(..., decimation)). With check_photo the
+    chunk also returns max |i dt - c r dt - dw| / sqrt(dt), the increments
+    recovered from the photocurrent against the draws (0.0 without).
 
-    Returns (r_hat, r_b, theta, inv_max, photo_err), time-major; r_hat and
-    r_b are None without retrodict, which reads neither filtered lane.
-    Top-level so process pools can pickle it. Results depend only on args,
-    never on which worker runs them.
+    Returns (d, r_hat, r_b, theta, inv_max, photo_err), lane-major: d =
+    r_hat - r_b on the valid nodes k < valid_stop, shape (lanes, valid_stop,
+    2), r_hat and r_b on every node, and theta, shape (lanes, nodes). d,
+    r_hat and r_b are None without retrodiction (valid_stop None), and r_hat
+    and r_b also without keep. Top-level so process pools can pickle it.
+    Results depend only on args, never on which worker runs them.
     """
-    (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, retrodict,
+    (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep,
      check_photo) = args
     n, dt, lanes = grid.n_steps, grid.dt, hi - lo
     c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
     n_nodes = n // decim + 1
-    theta = np.empty((n_nodes, lanes))
-    theta[0] = v_nodes[0]  # r(0) = 0 on every lane
-    rh_dec = rb_dec = None
+    theta = np.empty((lanes, n_nodes))
+    theta[:, 0] = v_nodes[0]  # r(0) = 0 on every lane
+    retrodict = valid_stop is not None
     if retrodict:
         afac, bcoef = estimation._backward_coefficients(p, dt)
-        rh_dec = np.zeros((n_nodes, lanes, 2))
+        rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
-    block = decim * max(1, _BLOCK_STEPS // decim)
-    r = np.zeros((block + 1, lanes, 2))
-    r_hat = np.zeros((block + 1, lanes, 2))
+    block = min(decim * max(1, _BLOCK_LANE_STEPS // (lanes * decim)), n)
+    # buf holds the raw draws, then the photocurrent and i dt, then r_hat -
+    # r; r_hat rows 1..m hold the increments until the filter overwrites them.
+    buf = np.empty((block, lanes, 2))
+    r, r_hat = np.zeros((block + 1, lanes, 2)), np.zeros((block + 1, lanes, 2))
     inv_max, photo_err = 0.0, 0.0
     for s0 in range(0, n, block):
         s1 = min(s0 + block, n)
         m = s1 - s0
-        dw = dynamics._draw_increments(gens, m, dt)
+        dw = r_hat[1:m + 1]
+        dynamics._draw_increments(gens, dt, dw, buf)
         dynamics._synthesis_steps(r[:m + 1], dw, amp[s0:s1], efac)
-        photo = dynamics._photocurrent(r[:m], dw, c, dt)
+        photo = dynamics._photocurrent(r[:m], dw, c, dt, out=buf[:m])
         if check_photo:
-            dw_rec = dynamics._recovered_increments(photo, r[:m], c, dt)
-            photo_err = np.maximum(photo_err, np.abs(dw_rec - dw, out=dw_rec).max())
-            del dw_rec
-        idt = photo * dt
+            photo_err = np.maximum(photo_err, dynamics._photocurrent_residual(
+                photo, r[:m], dw, c, dt))
+        idt = np.multiply(photo, dt, out=photo)
+        if retrodict:
+            estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
         estimation._forward_steps(r_hat[:m + 1], idt, amp[s0:s1], efac, c, dt)
-        diff = r_hat[1:m + 1] - r[1:m + 1]
+        diff = np.subtract(r_hat[1:m + 1], r[1:m + 1], out=buf[:m])
         inv_max = np.maximum(inv_max, np.abs(diff, out=diff).max())
         # s0 is a whole number of windows: the block's decimated nodes
         # s0 < k <= s1 are its rows decim, 2 decim, ...
         rows, out = slice(decim, m + 1, decim), slice(s0 // decim + 1, s1 // decim + 1)
         r_dec = r[rows]
-        theta[out] = (v_nodes[s0 + decim:s1 + 1:decim, None]
-                      + 0.5 * np.sum(r_dec * r_dec, axis=-1))
+        theta[:, out] = (v_nodes[s0 + decim:s1 + 1:decim, None]
+                         + 0.5 * np.sum(r_dec * r_dec, axis=-1)).T
         if retrodict:
-            rh_dec[out] = r_hat[rows]
-            estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
+            kept = rh_dec[out]
+            kept[:] = r_hat[rows][:len(kept)]
         r[0], r_hat[0] = r[m], r_hat[m]
-        # Drop the block's arrays: the next block allocates its own.
-        del dw, photo, idt, diff
-    del r, r_hat
+    # Free the block buffers, and every view of them, before the results.
+    del buf, r, r_hat, dw, photo, idt, diff, r_dec
+    d = r_hat = r_b = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], afac ** decim)
-    return rh_dec, rb_dec, theta, float(inv_max), float(photo_err) / math.sqrt(dt)
+        if keep:
+            r_hat, r_b = dynamics._swap_pairs(rh_dec), dynamics._swap_pairs(rb_dec)
+        valid = rh_dec[:valid_stop]
+        d = dynamics._swap_pairs(np.subtract(valid, rb_dec[:valid_stop], out=valid))
+    return d, r_hat, r_b, theta, float(inv_max), float(photo_err)
+
+
+def _in_order(pool, jobs, depth: int):
+    """The chunk results of jobs from pool, in job order, with at most depth
+    submitted and not yet yielded: finished chunks do not pile up here."""
+    pending = deque()
+    for job in jobs:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_compute_chunk, job))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
               decimation: int, chunk_size: int, n_workers: int, retrodict: bool,
-              n_kept: int) -> EnsembleBundle:
+              n_kept: int, keep_filtered: bool) -> EnsembleBundle:
     """Run a seeded ensemble chunk by chunk and fold it into an EnsembleBundle.
 
     The Riccati series is solved once and shared by every chunk. Chunks run
     here or, for n_workers > 1 (0 = one per available CPU), in a process
-    pool, and are folded in stream-index order as they arrive, then dropped;
-    the bundle keeps the first n_kept lanes.
+    pool with at most one chunk per worker waiting beyond those running, and
+    are folded in stream-index order as they arrive, then dropped; the
+    bundle keeps the first n_kept theta lanes and, with keep_filtered, every
+    r_hat and r_b lane.
     """
     if n_traj < 2:
         raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
     v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
     bounds = [(lo, min(lo + chunk_size, n_traj)) for lo in range(0, n_traj, chunk_size)]
-    jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, retrodict,
-             lo == 0) for lo, hi in bounds]
     grid_out = _decimated(grid, decimation)
-    kept = (n_kept, grid_out.n_steps + 1)
+    valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
+    jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, valid_stop,
+             keep_filtered, lo == 0) for lo, hi in bounds]
+    filtered = (n_traj, grid_out.n_steps + 1, 2)
     bundle = EnsembleBundle(
-        grid_out=grid_out, v_out=v_nodes[::decimation].copy(),
-        valid_stop=estimation._valid_stop(p, grid_out) if retrodict else None,
-        r_hat=np.empty(kept + (2,)) if retrodict else None,
-        r_b=np.empty(kept + (2,)) if retrodict else None,
-        theta=np.empty(kept), params=p)
+        grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
+        r_hat=np.empty(filtered) if keep_filtered else None,
+        r_b=np.empty(filtered) if keep_filtered else None,
+        theta=np.empty((n_kept, grid_out.n_steps + 1)), params=p)
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
     if n_workers > 1 and len(jobs) > 1:
         # The pool starts all its workers at once: no more than jobs.
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-            bundle._fold(bounds, pool.map(_compute_chunk, jobs))
+        n_workers = min(n_workers, len(jobs))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            bundle._fold(bounds, _in_order(pool, jobs, n_workers + 1))
     else:
         bundle._fold(bounds, map(_compute_chunk, jobs))
     return bundle
@@ -424,7 +452,7 @@ def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: in
     pipeline covers it).
     """
     return _ensemble(p, grid, n_traj, master_seed, decimation, chunk_size,
-                     n_workers=1, retrodict=True, n_kept=n_traj)
+                     n_workers=1, retrodict=True, n_kept=n_traj, keep_filtered=True)
 
 
 @dataclass
@@ -493,7 +521,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             ens = _ensemble(p, config.grid(), config.n_traj, config.master_seed,
                             config.decimation, config.chunk_size, config.n_workers,
                             retrodict="reconstruct" in config.pipelines,
-                            n_kept=min(config.n_display, config.n_traj))
+                            n_kept=min(config.n_display, config.n_traj),
+                            keep_filtered=False)
         checks["invariants"].append(check_record(
             "photocurrent_identity", ens.photocurrent_residual, 0.0, PHOTOCURRENT_TOL))
         checks["invariants"].append(check_record(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import retrodyn as rd
+from retrodyn import dynamics
 from retrodyn._io import _CSV_BLOCK_ROWS, write_csv
 
 SEED = 314159
@@ -123,6 +124,16 @@ class TestRiccati:
         again = rd.solve_conditional_variance(params, g, rates.v_uc)
         assert again.tobytes() == expected
         assert again is not first and again.flags.writeable
+
+    @pytest.mark.parametrize("v0", [33.45, 0.1])  # V_uc, and below V_ss
+    def test_series_is_the_rk4_step_loop(self, params, rates, v0):
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=3000)
+        v, loop = v0, [v0]
+        for _ in range(g.n_steps):
+            v = dynamics._rk4_step(v, g.dt, params, rates.v_uc, 4.0 * rates.gamma_meas)
+            loop.append(v)
+        out = rd.solve_conditional_variance(params, g, v0)
+        assert out.tobytes() == np.array(loop).tobytes()
 
 
 class TestTrajectory:

@@ -14,7 +14,9 @@ import pytest
 
 import retrodyn as rd
 from retrodyn.dynamics import _FLOAT_BLOCK
-from retrodyn.pipeline import _BLOCK_STEPS as BLOCK
+
+#: Block length the step-count cases below are built around.
+BLOCK = 1000
 
 
 def _bitwise_equal(a, b):

@@ -45,7 +45,7 @@ class TestConfig:
         cfg = default_config()
         assert cfg.dt == 1e-7 and cfg.t_final == 3e-3
         assert cfg.n_traj == 3600 and cfg.master_seed == 1234
-        assert cfg.decimation == 10 and cfg.chunk_size == 300
+        assert cfg.decimation == 10 and cfg.chunk_size == 450
         assert cfg.pipelines == ("reconstruct", "thermo", "fullmodel")
         assert cfg.mode == "exact" and cfg.tail_fraction == 0.20
 
@@ -194,7 +194,23 @@ def _bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-BLOCK = pipeline._BLOCK_STEPS
+#: Steps per kernel block at 2 lanes under the small_blocks fixture.
+BLOCK = 1000
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Blocks of 2 * BLOCK lane-steps, so narrow chunks span several blocks."""
+    monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", 2 * BLOCK)
+
+
+def _public_lane_path(params, g, n_traj, decimation):
+    """simulate_batch and both filters over all n_traj lanes of seed 21."""
+    traj = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 21,
+                             range(n_traj))
+    r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
+    r_b = rd.backward_filter(traj.photocurrent, params, g, decimation=decimation)
+    return traj, r_hat, r_b
 
 
 class TestChunkKernel:
@@ -206,15 +222,12 @@ class TestChunkKernel:
         (BLOCK + 503, 7, 4, 3),        # decimation does not divide n_steps
         (BLOCK, 10, 3, 1),             # 1-lane chunks, exactly one block
     ])
-    def test_matches_public_lane_path(self, params, n_steps, decimation, n_traj,
-                                      chunk_size):
+    def test_matches_public_lane_path(self, params, small_blocks, n_steps, decimation,
+                                      n_traj, chunk_size):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=n_steps)
         b = collect_ensemble(params, g, n_traj, 21, decimation=decimation,
                              chunk_size=chunk_size)
-        traj = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 21,
-                                 range(n_traj))
-        r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
-        r_b = rd.backward_filter(traj.photocurrent, params, g, decimation=decimation)
+        traj, r_hat, r_b = _public_lane_path(params, g, n_traj, decimation)
         sl = slice(None, None, decimation)
         assert _bitwise_equal(b.r_hat, r_hat[:, sl])
         assert _bitwise_equal(b.r_b, r_b)
@@ -223,6 +236,28 @@ class TestChunkKernel:
         assert _bitwise_equal(b.theta, theta)
         assert b.inversion_max_abs == float(np.max(np.abs(r_hat - traj.r)))
         assert b.photocurrent_residual <= PHOTOCURRENT_TOL
+
+    def test_d_is_the_public_difference_on_the_valid_nodes(self, params, small_blocks):
+        # Blocks of 665 steps (3 lanes) and 994 steps (2 lanes) leave a
+        # ragged last one; chunks of 3 do not divide 5 lanes; decimation 7
+        # does not divide 12003 steps.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
+        _, r_hat, r_b = _public_lane_path(params, g, 5, 7)
+        d = r_hat[:, ::7] - r_b
+        v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+        mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+        stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
+        assert 0 < stop < d.shape[1]
+        for lo, hi in [(0, 3), (3, 5)]:
+            for keep in (False, True):
+                out = pipeline._compute_chunk(
+                    (params, g, v, mids, 21, lo, hi, 7, stop, keep, False))
+                assert _bitwise_equal(out[0], d[lo:hi, :stop])
+                if keep:
+                    assert _bitwise_equal(out[1], r_hat[lo:hi, ::7])
+                    assert _bitwise_equal(out[2], r_b[lo:hi])
+                else:
+                    assert out[1] is None and out[2] is None
 
     def test_chunk_holds_no_full_resolution_array(self, params):
         # A chunk keeps one retrodiction window sum per output node. One
@@ -255,11 +290,11 @@ class TestChunkKernel:
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
         v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
         mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
-        r_hat, r_b, theta, _, _ = pipeline._compute_chunk(
-            (params, g, v, mids, 3, 0, 4, 5, False, True))
-        assert r_hat is None and r_b is None
+        d, r_hat, r_b, theta, _, _ = pipeline._compute_chunk(
+            (params, g, v, mids, 3, 0, 4, 5, None, False, True))
+        assert d is None and r_hat is None and r_b is None
         b = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=4)
-        assert _bitwise_equal(theta.T, b.theta)
+        assert _bitwise_equal(theta, b.theta)
 
     def test_measurement_off_raises_regime_error(self, params):
         p = rd.PhysParams(**{**vars(params), "eta_det": 0.0})
@@ -471,8 +506,8 @@ class TestStreamedRun:
         assert all(rec["pass"] for rec in by_name.values()), by_name
 
     def test_corrupted_photocurrent_fails_its_check(self, tmp_path, monkeypatch):
-        def wrong_sign(r_start, dw, c, dt):
-            return (dw - c * r_start * dt) / dt
+        def wrong_sign(r_start, dw, c, dt, out=None):
+            return np.divide(dw - c * r_start * dt, dt, out=out)
 
         monkeypatch.setattr(dynamics, "_photocurrent", wrong_sign)
         cfg = default_config(out_dir=str(tmp_path), n_traj=4, t_final=2e-4,
@@ -480,6 +515,17 @@ class TestStreamedRun:
         by_name = {rec["name"]: rec for rec in run_experiment(cfg).checks["invariants"]}
         rec = by_name["photocurrent_identity"]
         assert not rec["pass"] and rec["value"] > 1e-3, rec
+
+
+class _DoneFuture:
+    """A finished future: the result of a pool stub that runs each job at once."""
+
+    def __init__(self, value, on_result=lambda fut: None):
+        self.value, self.on_result = value, on_result
+
+    def result(self):
+        self.on_result(self)
+        return self.value
 
 
 class TestStagesAndEmit:
@@ -643,7 +689,7 @@ class TestCli:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, jobs):
+            def submit(self, fn, job):
                 raise exc
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FailingPool)
@@ -667,14 +713,42 @@ class TestCli:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                return _DoneFuture(fn(job))
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
         cfg = default_config(out_dir=str(tmp_path), n_workers=64, n_traj=4,
                              chunk_size=2, t_final=1e-4, pipelines=("thermo",))
         run_experiment(cfg)
         assert sizes == [2]
+
+    def test_pool_keeps_one_chunk_per_worker_waiting(self, tmp_path, monkeypatch):
+        # Finished chunks wait in the parent until the fold reaches them:
+        # at most n_workers + 1 may be submitted and not yet folded.
+        pending, peaks = set(), []
+
+        class WindowPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, job):
+                fut = _DoneFuture(fn(job), on_result=pending.discard)
+                pending.add(fut)
+                peaks.append(len(pending))
+                return fut
+
+        out_1, out_w = tmp_path / "one", tmp_path / "window"
+        run_experiment(small_config(out_1, chunk_size=4))
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", WindowPool)
+        run_experiment(small_config(out_w, n_workers=2, chunk_size=4))
+        assert len(peaks) == 10 and max(peaks) == 3 and not pending
+        assert _read_products(out_1) == _read_products(out_w)
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
         # The whole valid window as the tail spans the decay of V(t), so the
