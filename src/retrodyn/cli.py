@@ -98,7 +98,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         for j in range(n_files):
             traj = simulate_trajectory(cfg.params, grid, v0, cfg.master_seed, stream=j)
             path = os.path.join(cfg.out_dir, f"trajectory_{j:03d}.csv")
-            write_trajectory_csv(traj, path, every=cfg.decimation)
+            # Every node: a decimated export cannot be filtered again.
+            write_trajectory_csv(traj, path)
             print(path)
     print(f"wrote {n_files} trajectories (seed {cfg.master_seed}, "
           f"dt {grid.dt:g} s, {grid.n_steps} steps)")

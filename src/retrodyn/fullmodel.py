@@ -21,6 +21,11 @@ model with an explicit cavity, and the 2x2 adiabatic model obtained when the
 cavity is eliminated, whose three channels (thermal, and one backaction
 channel per quadrature) reproduce the scalar rate formulas of the thermo
 module exactly.
+
+scipy.linalg is imported inside lyapunov_steady_state, the package's one
+call into it, not at the top: loading it costs a process about 0.3 s and
+30 MB, and only the full-model check needs it, so importing the package,
+the record path and the ensemble pipelines never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._io import check_record
 from .errors import ConfigError, DomainError, ModelError, NumericsError, ShapeError, StabilityError
@@ -60,8 +64,10 @@ _VACUUM_TOL = 1e-9
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, [[0, 1], [-1, 0]] per mode."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([j] * n_modes))
+    f = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    f[x, x + 1], f[x + 1, x] = 1.0, -1.0
+    return f
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -255,7 +261,9 @@ def lyapunov_steady_state(m: GaussianModel) -> CovMatrix:
             f"total drift is not Hurwitz (max Re eigenvalue {eig_real.max():g}); "
             "no steady state"
         )
-    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    from scipy.linalg import solve_continuous_lyapunov
+
+    v = solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
     resid = np.linalg.norm(a @ v + v @ a.T + d)
     if resid >= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(d):

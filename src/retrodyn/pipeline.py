@@ -22,8 +22,9 @@ difference_variance and ensemble_average_rates, so a run's products equal
 theirs on collect_ensemble, which keeps every lane, bit for bit;
 byte-identical files come out regardless of how many workers run the
 chunks and how large the chunks are, and a run's memory does not grow with
-the ensemble size. The manifest records wall time and library versions and
-is the one file expected to differ between reruns.
+the ensemble size. The manifest records wall time, the wall seconds of
+each stage, peak RSS and library versions, and is the one file expected
+to differ between reruns.
 
 The Riccati series is solved once per ensemble and shared by every chunk.
 A chunk runs as one time-major pass over blocks of steps, laid out
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import platform
+import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +81,10 @@ __all__ = [
 #: fold lane by lane in stream-index order, so the chunk size leaves the
 #: bytes alone.
 DEFAULT_CHUNK_SIZE = 450
+
+#: Lanes j below this are checked against the photocurrent identity,
+#: whatever chunks hold them: at the default chunk size, the first chunk.
+_PHOTOCURRENT_LANES = 450
 
 #: Lane-steps per time-major block of the chunk kernel: one block array
 #: stays at about 3.6 MB whatever the chunk width. Rounded to whole
@@ -233,9 +239,9 @@ class EnsembleBundle:
     synthesized means r are not stored: r_hat equals them to
     inversion_max_abs. grid_out is the decimated grid; v_out the Riccati
     solution on it. photocurrent_residual is max |i dt - c r dt - dw| /
-    sqrt(dt) over the first chunk: the increments recovered from the
-    photocurrent, as read_trajectory_csv recovers them, against the Philox
-    draws.
+    sqrt(dt) over the lanes j < _PHOTOCURRENT_LANES: the increments
+    recovered from the photocurrent, as read_trajectory_csv recovers them,
+    against the Philox draws.
     """
 
     grid_out: TimeGrid
@@ -293,9 +299,10 @@ def _compute_chunk(args):
     = V + r.r/2 and, with retrodiction, r_hat and the retrodiction window
     sums, which the backward recursion then turns into r_b in place. Every
     lane's bits equal the lane-major public path (simulate_batch,
-    forward_filter, backward_filter(..., decimation)). With check_photo the
-    chunk also returns max |i dt - c r dt - dw| / sqrt(dt), the increments
-    recovered from the photocurrent against the draws (0.0 without).
+    forward_filter, backward_filter(..., decimation)). The chunk also returns
+    max |i dt - c r dt - dw| / sqrt(dt) over its first n_photo lanes, the
+    increments recovered from the photocurrent against the draws (0.0 when
+    n_photo is 0).
 
     Returns (d, r_hat, r_b, theta, inv_max, photo_err), lane-major: d =
     r_hat - r_b on the valid nodes k < valid_stop, shape (lanes, valid_stop,
@@ -305,7 +312,7 @@ def _compute_chunk(args):
     Results depend only on args, never on which worker runs them.
     """
     (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep,
-     check_photo) = args
+     n_photo) = args
     n, dt, lanes = grid.n_steps, grid.dt, hi - lo
     c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
@@ -330,9 +337,9 @@ def _compute_chunk(args):
         dynamics._draw_increments(gens, dt, dw, buf)
         dynamics._synthesis_steps(r[:m + 1], dw, amp[s0:s1], efac)
         photo = dynamics._photocurrent(r[:m], dw, c, dt, out=buf[:m])
-        if check_photo:
+        if n_photo:
             photo_err = np.maximum(photo_err, dynamics._photocurrent_residual(
-                photo, r[:m], dw, c, dt))
+                photo[:, :n_photo], r[:m, :n_photo], dw[:, :n_photo], c, dt))
         idt = np.multiply(photo, dt, out=photo)
         if retrodict:
             estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
@@ -394,7 +401,8 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
     jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, valid_stop,
-             keep_filtered, lo == 0) for lo, hi in bounds]
+             keep_filtered, max(min(hi, _PHOTOCURRENT_LANES) - lo, 0))
+            for lo, hi in bounds]
     filtered = (n_traj, grid_out.n_steps + 1, 2)
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
@@ -479,16 +487,21 @@ class _Stage:
     Resource failures from outside the package (an OSError while writing a
     product, a MemoryError, a worker process that died) become a
     ResourceError, so they too reach the caller as a stage-named
-    RetrodynError.
+    RetrodynError. Given a wall_s dict, the stage adds its wall seconds
+    there under its name.
     """
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name: str, wall_s: dict | None = None):
+        self.name, self.wall_s = name, wall_s
 
     def __enter__(self):
+        self.t0 = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if self.wall_s is not None:
+            self.wall_s[self.name] = (self.wall_s.get(self.name, 0.0)
+                                      + time.monotonic() - self.t0)
         if isinstance(exc, RetrodynError):
             raise type(exc)(f"stage '{self.name}': {exc}") from exc
         if isinstance(exc, (OSError, MemoryError, BrokenProcessPool)):
@@ -502,12 +515,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     Returns a RunResult whose files map names the products written. Output
     bytes are a pure function of the configuration (manifest.json excepted:
-    it carries wall time and version strings).
+    it carries timings, peak RSS and version strings).
     """
     t_start = time.monotonic()
+    stage_s: dict = {}
     with _Stage("reconstruct"):
         _check_reconstruct_window(config)
-    with _Stage("emit"):
+    with _Stage("emit", stage_s):
         make_out_dir(config.out_dir)
     p = config.params
     files: dict = {}
@@ -517,7 +531,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                      or "thermo" in config.pipelines)
     ens = None
     if need_ensemble:
-        with _Stage("simulate"):
+        with _Stage("simulate", stage_s):
             ens = _ensemble(p, config.grid(), config.n_traj, config.master_seed,
                             config.decimation, config.chunk_size, config.n_workers,
                             retrodict="reconstruct" in config.pipelines,
@@ -533,7 +547,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     display_phi = display_pi = None
 
     if "reconstruct" in config.pipelines:
-        with _Stage("reconstruct"):
+        with _Stage("reconstruct", stage_s):
             ev = estimation._pooled_difference_variance(
                 ens.d_moments.variance(), ens.d_moments.count, ens.grid_out, 0)
             v_rec, v_ss_est = estimation.reconstruct_conditional_variance(
@@ -548,7 +562,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         checks["invariants"].append(check_record("vd_identity_fraction", frac, 1.0, 1e-2))
 
     if "thermo" in config.pipelines:
-        with _Stage("thermo"):
+        with _Stage("thermo", stage_s):
             rates = thermo._ensemble_rates(ens.theta_moments, ens.v_out, ens.grid_out, p)
             display_phi, display_pi = thermo.theta_rates(ens.theta, ens.v_out, p)
             theta_mean = ens.theta_moments.mean()
@@ -565,7 +579,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         checks["invariants"].append(check_record("theta_mean_t0_abs_dev", t0_dev, 0.0, 1e-12))
 
     if "fullmodel" in config.pipelines:
-        with _Stage("check-fullmodel"):
+        with _Stage("check-fullmodel", stage_s):
             checks["fullmodel"] = adiabatic_consistency_check(p)
 
     result = RunResult(
@@ -576,7 +590,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         checks=checks, files=files, wall_time_s=0.0,
     )
 
-    with _Stage("emit"):
+    with _Stage("emit", stage_s):
         if "reconstruct" in config.pipelines:
             files["reconstruction.csv"] = emit_reconstruction(config.out_dir, ev, v_rec)
             files["variance.csv"] = emit_figure_data(result, "fig1")
@@ -598,6 +612,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "retrodyn": __version__,
         },
         "wall_time_s": result.wall_time_s,
+        "stage_wall_s": stage_s,
+        "peak_rss_mb": _peak_rss_mb(),
         "files": sorted(k for k in files),
     }
     manifest_path = os.path.join(config.out_dir, "manifest.json")
@@ -606,6 +622,20 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     files["manifest.json"] = manifest_path
     result.files = files
     return result
+
+
+def _peak_rss_mb() -> dict:
+    """Peak RSS in MB (1e6 bytes) of this process and of its largest
+    waited-for child, such as a pool worker; empty where the resource
+    module is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+    return {who: resource.getrusage(flag).ru_maxrss * unit / 1e6
+            for who, flag in (("self", resource.RUSAGE_SELF),
+                              ("children", resource.RUSAGE_CHILDREN))}
 
 
 def emit_reconstruction(out_dir: str, ev: EnsembleVariance, v_rec) -> str:

@@ -34,6 +34,17 @@ class TestSymplectic:
         assert f.shape == (4, 4)
         assert not np.any(f[:2, 2:]) and not np.any(f[2:, :2])
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_form_is_scipy_block_diag_bitwise(self, n_modes):
+        # No -0.0 entries, as np.kron(eye, j) would write.
+        import scipy.linalg
+
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        f = rd.symplectic_form(n_modes)
+        expect = scipy.linalg.block_diag(*([j] * n_modes))
+        assert f.dtype == expect.dtype and f.shape == expect.shape
+        assert f.tobytes() == expect.tobytes()
+
     def test_eigenvalues_vacuum(self):
         np.testing.assert_allclose(
             rd.symplectic_eigenvalues(0.5 * np.eye(2)), [0.5], rtol=1e-14)

@@ -1,6 +1,7 @@
 """Experiment runner and command line: configuration parsing, byte-level
 reproducibility of the data products, stage naming, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -32,6 +33,16 @@ SMALL_RUN = dict(dt=2e-7, t_final=4e-3, n_traj=40, master_seed=77,
 
 DETERMINISTIC_FILES = ("variance.csv", "reconstruction.csv",
                        "entropy_rates.csv", "information.csv", "checks.json")
+
+# sha256 of SMALL_RUN's products at chunk_size 40 (one chunk). The run's
+# telemetry goes to manifest.json only, so these stay put.
+SMALL_RUN_DIGESTS = {
+    "variance.csv": "2f49a52107b6f0c0f4ed5bdb8c664ddb08b23408bfac69ab0a515d45831f9725",
+    "reconstruction.csv": "3a7f8ce7fceae4ed6c6dbc545d9aaa5c0386923a3282e7a2971ba6b097deea49",
+    "entropy_rates.csv": "4b82de402ca1807afefa93e3bf2c4e5e6c0330e203e6996407f74a87e7413e72",
+    "information.csv": "54eac1a67d7091c73f207561cc7cf6112ec11f14518ea229fd40906a94c381ac",
+    "checks.json": "147c5cd9d6b6b48be7333e365942933a7c7f306c9ffed574a90be782fd649ac0",
+}
 
 
 def small_config(out_dir, **overrides):
@@ -379,6 +390,17 @@ class TestRunDeterminism:
         run_experiment(small_config(out_d, chunk_size=SMALL_RUN["n_traj"]))
         assert _read_products(out_a) == _read_products(out_d)
 
+    def test_photocurrent_check_does_not_depend_on_chunking(self, first_run, tmp_path):
+        # The identity is checked on fixed lanes, not on the first chunk:
+        # at chunk_size 4 the largest residual lies outside the first chunk.
+        out_a, _ = first_run
+        checks = (out_a / "checks.json").read_bytes()
+        # (40, 2) would run its one chunk in this process, as (40, 1) does.
+        for chunk_size, n_workers in ((4, 1), (40, 1), (4, 2)):
+            out = tmp_path / f"c{chunk_size}w{n_workers}"
+            run_experiment(small_config(out, chunk_size=chunk_size, n_workers=n_workers))
+            assert (out / "checks.json").read_bytes() == checks, (chunk_size, n_workers)
+
     def test_thermo_only_run_writes_the_same_rates(self, first_run, tmp_path):
         out_a, _ = first_run
         out_t = tmp_path / "thermo"
@@ -420,12 +442,28 @@ class TestRunDeterminism:
     def test_manifest_contents(self, first_run):
         out, _ = first_run
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert set(manifest) == {"config", "versions", "wall_time_s", "files"}
+        assert set(manifest) == {"config", "versions", "wall_time_s", "stage_wall_s",
+                                 "peak_rss_mb", "files"}
         assert manifest["config"]["n_traj"] == 40
         assert manifest["config"]["master_seed"] == 77
         assert manifest["versions"]["numpy"] == np.__version__
         assert manifest["versions"]["retrodyn"] == rd.__version__
         assert manifest["files"] == sorted(DETERMINISTIC_FILES)
+
+    def test_manifest_records_stages_and_peak_rss(self, tmp_path):
+        out = tmp_path / "one_chunk"
+        run_experiment(small_config(out, chunk_size=SMALL_RUN["n_traj"]))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        stages = manifest["stage_wall_s"]
+        assert set(stages) == {"emit", "simulate", "reconstruct", "thermo",
+                               "check-fullmodel"}
+        assert all(0.0 < s < manifest["wall_time_s"] for s in stages.values())
+        assert set(manifest["peak_rss_mb"]) == {"self", "children"}
+        assert manifest["peak_rss_mb"]["self"] > 0.0
+        # The telemetry lives in manifest.json alone: the products keep
+        # their bytes.
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in DETERMINISTIC_FILES} == SMALL_RUN_DIGESTS
 
     def test_variance_csv_tracks_riccati(self, first_run):
         out, result = first_run
@@ -569,6 +607,16 @@ class TestCli:
             assert path.exists()
             with open(path, "r", encoding="utf-8") as fh:
                 assert fh.readline().rstrip("\n") == "t,rx,ry,v,ix,iy"
+
+    def test_simulated_record_filters_again(self, tmp_path):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), "--trajectories", "1",
+                         "--t-final", "2e-3"]) == 0
+        p = default_config().params
+        traj = rd.read_trajectory_csv(out / "trajectory_000.csv", p)
+        assert traj.grid.n_steps == 20000
+        fp = rd.filter_record(traj.photocurrent, p, traj.grid)
+        assert np.max(np.abs(fp.r_hat - traj.r)) < 1e-9
 
     def test_simulate_is_seed_reproducible(self, tmp_path):
         args = ["simulate", "--trajectories", "1", "--dt", "2e-7",
