@@ -605,17 +605,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     from . import __version__  # here, not at the top: the package imports this module
     manifest = {
         "config": config.echo(),
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
-            "retrodyn": __version__,
-        },
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "retrodyn": __version__},
         "wall_time_s": result.wall_time_s,
         "stage_wall_s": stage_s,
         "peak_rss_mb": _peak_rss_mb(),
         "files": sorted(k for k in files),
     }
+    if ens is not None:
+        manifest["lane_steps_per_s"] = (config.n_traj * config.grid().n_steps
+                                        / stage_s["simulate"])
     manifest_path = os.path.join(config.out_dir, "manifest.json")
     with _Stage("emit"):
         write_json(manifest_path, manifest)

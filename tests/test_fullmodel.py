@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import retrodyn as rd
@@ -37,8 +38,6 @@ class TestSymplectic:
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_form_is_scipy_block_diag_bitwise(self, n_modes):
         # No -0.0 entries, as np.kron(eye, j) would write.
-        import scipy.linalg
-
         j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         f = rd.symplectic_form(n_modes)
         expect = scipy.linalg.block_diag(*([j] * n_modes))
@@ -208,6 +207,64 @@ class TestLyapunov:
         v1 = rd.lyapunov_steady_state(base).v
         v2 = rd.lyapunov_steady_state(scaled).v
         np.testing.assert_allclose(v2, s * v1, rtol=1e-9, atol=1e-12)
+
+
+def _one_bath_model(a, d):
+    return rd.GaussianModel(
+        a_ham=a, channels=(rd.Channel(a_irr=np.zeros_like(a), d=d, label="bath"),))
+
+
+def _scipy_steady_state(a, d):
+    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    return 0.5 * (v + v.T)
+
+
+class TestLyapunovSolve:
+    """The numpy Kronecker solve against scipy's Bartels-Stewart solver."""
+
+    @staticmethod
+    def _random_model(n, seed):
+        """Drift with symmetric part <= -0.1 I (so every Re eigenvalue <= -0.1
+        and ||L^-1|| <= 5 for L(V) = A V + V A^T) and a PSD diffusion of rank
+        1 to n, scaled so that the steady state is a physical covariance."""
+        rng = np.random.default_rng(seed)
+        m, k = rng.uniform(-1.0, 1.0, (2, n, n))
+        a = -(m @ m.T) - 0.1 * np.eye(n) + (k - k.T)
+        b = rng.uniform(-1.0, 1.0, (n, rng.integers(1, n + 1)))
+        d = b @ b.T
+        nu = rd.symplectic_eigenvalues(_scipy_steady_state(a, d)).min()
+        assume(nu > 1e-6)  # V is singular when (A, B) is not controllable
+        return a, d * max(1.0, 0.6 / nu)
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_hurwitz_drift_agrees_with_scipy(self, n, seed):
+        a, d = self._random_model(n, seed)
+        assert np.linalg.eigvals(a).real.max() <= -0.1
+        v = rd.lyapunov_steady_state(_one_bath_model(a, d)).v
+        ref = _scipy_steady_state(a, d)
+        assert np.linalg.norm(v - ref) <= 1e-9 * np.linalg.norm(ref)
+        resid = np.linalg.norm(a @ v + v @ a.T + d)
+        assert resid < rd.fullmodel.LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(d)
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1),
+           st.floats(min_value=1e-3, max_value=1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_non_hurwitz_drift_raises(self, n, seed, re_max):
+        a, d = self._random_model(n, seed)
+        # Shift the spectrum so that its largest real part is re_max > 0
+        # (a real part of exactly 0 does not survive the round-off of the
+        # shift).
+        a = a + (re_max - np.linalg.eigvals(a).real.max()) * np.eye(n)
+        with pytest.raises(rd.StabilityError, match="Hurwitz"):
+            rd.lyapunov_steady_state(_one_bath_model(a, d))
+
+    @pytest.mark.parametrize("build", [rd.build_optomech_model, rd.build_adiabatic_model])
+    def test_default_models_agree_with_scipy(self, params, build):
+        m = build(params)
+        ref = _scipy_steady_state(m.drift_total(), m.diffusion_total())
+        v = rd.lyapunov_steady_state(m).v
+        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestChannelRates:

@@ -27,7 +27,7 @@ RUN_DIGESTS = {
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "af12a2fdf2967c28a88ee15828ff2ec2248ed89ef1362ead2a6a4f8ab4fc074c",
+        "2e0b75c76d6f52833d35d3d0fd212bcc29889340af69ae82cf4c39ec33fd5f3d",
 }
 
 

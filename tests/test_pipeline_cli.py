@@ -41,7 +41,7 @@ SMALL_RUN_DIGESTS = {
     "reconstruction.csv": "3a7f8ce7fceae4ed6c6dbc545d9aaa5c0386923a3282e7a2971ba6b097deea49",
     "entropy_rates.csv": "4b82de402ca1807afefa93e3bf2c4e5e6c0330e203e6996407f74a87e7413e72",
     "information.csv": "54eac1a67d7091c73f207561cc7cf6112ec11f14518ea229fd40906a94c381ac",
-    "checks.json": "147c5cd9d6b6b48be7333e365942933a7c7f306c9ffed574a90be782fd649ac0",
+    "checks.json": "766d49e040ff9451cf44c94189cb29274b250c35e8c95520dc882530ecb87e8e",
 }
 
 
@@ -443,11 +443,15 @@ class TestRunDeterminism:
         out, _ = first_run
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert set(manifest) == {"config", "versions", "wall_time_s", "stage_wall_s",
-                                 "peak_rss_mb", "files"}
+                                 "peak_rss_mb", "lane_steps_per_s", "files"}
         assert manifest["config"]["n_traj"] == 40
         assert manifest["config"]["master_seed"] == 77
+        assert set(manifest["versions"]) == {"python", "numpy", "retrodyn"}
         assert manifest["versions"]["numpy"] == np.__version__
         assert manifest["versions"]["retrodyn"] == rd.__version__
+        assert manifest["lane_steps_per_s"] == pytest.approx(
+            SMALL_RUN["n_traj"] * round(SMALL_RUN["t_final"] / SMALL_RUN["dt"])
+            / manifest["stage_wall_s"]["simulate"], rel=1e-12)
         assert manifest["files"] == sorted(DETERMINISTIC_FILES)
 
     def test_manifest_records_stages_and_peak_rss(self, tmp_path):
@@ -572,6 +576,9 @@ class TestStagesAndEmit:
         result = run_experiment(cfg)
         assert sorted(result.files) == ["checks.json", "manifest.json"]
         assert result.ev is None and result.rates is None
+        # No ensemble ran, so there is no throughput to report.
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert "lane_steps_per_s" not in manifest
         with pytest.raises(rd.ValidationError, match="fig1"):
             emit_figure_data(result, "fig1")
         with pytest.raises(rd.ValidationError, match="fig2"):
