@@ -46,20 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .errors import DomainError, GridError, NumericsError, ShapeError, ValidationError
-from .model import GaussianState, PhysParams, derive_rates
+from .errors import DomainError, GridError, ShapeError, ValidationError
+from .model import PhysParams, derive_rates
 
 __all__ = [
     "TimeGrid",
     "Trajectory",
-    "riccati_rhs",
     "solve_conditional_variance",
     "conditional_variance_midpoints",
     "check_grid",
     "trajectory_rng",
     "simulate_trajectory",
     "simulate_batch",
-    "unconditional_state",
     "verify_photocurrent_identity",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -138,19 +136,6 @@ class Trajectory:
     photocurrent: np.ndarray
     seed: int
     stream: int = 0
-
-
-def riccati_rhs(v, p: PhysParams):
-    """Right-hand side Gamma_m (V_uc - v) - 4 eta_det Gamma_qba v^2.
-
-    Accepts a scalar or an ndarray of variances; returns the same shape.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NumericsError("riccati_rhs: non-finite variance input")
-    rates = derive_rates(p)
-    out = p.gamma_m * (rates.v_uc - v) - 4.0 * rates.gamma_meas * v * v
-    return float(out) if out.ndim == 0 else out
 
 
 def check_grid(p: PhysParams, grid: TimeGrid) -> None:
@@ -407,11 +392,6 @@ def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
                       seed=seed, stream=streams[0])
 
 
-def unconditional_state(p: PhysParams) -> GaussianState:
-    """The unconditional stationary state: r = 0, v = V_uc."""
-    return GaussianState(r=np.zeros(2), v=derive_rates(p).v_uc)
-
-
 def verify_photocurrent_identity(traj: Trajectory, p: PhysParams) -> bool:
     """Check i dt = sqrt(4 eta Gamma_qba) r dt + dw at every stored step.
 
@@ -448,9 +428,9 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
     """Rebuild a Trajectory from a full-resolution CSV export.
 
     The grid step is inferred from the t column; dw is recovered from the
-    photocurrent identity. Raises ShapeError for ragged, non-numeric or
-    non-uniform files and for non-finite values anywhere but the terminal
-    row's photocurrent.
+    photocurrent identity. Raises ShapeError for ragged, non-numeric,
+    non-increasing or non-uniform files and for non-finite values anywhere
+    but the terminal row's photocurrent.
     """
     bad_rows = f"{path}: expected rows of 6 columns ({CSV_HEADER})"
     try:
@@ -467,6 +447,8 @@ def read_trajectory_csv(path, p: PhysParams) -> Trajectory:
         raise ShapeError(f"{path}: non-finite t, r or v")
     t = data[:, 0]
     dts = np.diff(t)
+    if not np.all(dts > 0):
+        raise ShapeError(f"{path}: time column is not increasing")
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise ShapeError(f"{path}: time column is not uniformly spaced")

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .dynamics import (
     TimeGrid,
-    Trajectory,
     _mean_coefficients,
     _one_lane_blocks,
     conditional_variance_midpoints,
@@ -72,7 +71,6 @@ __all__ = [
     "backward_filter",
     "burn_in_steps",
     "filter_record",
-    "filter_trajectory",
     "difference_variance",
     "reconstruct_conditional_variance",
     "write_reconstruction_csv",
@@ -283,11 +281,6 @@ def filter_record(photocurrent, p: PhysParams, grid: TimeGrid,
     r_b = backward_filter(photocurrent, p, grid)
     return FilteredPath(grid=grid, r_hat=r_hat, r_b=r_b,
                         valid_range=(0, _valid_stop(p, grid)))
-
-
-def filter_trajectory(traj: Trajectory, p: PhysParams) -> FilteredPath:
-    """Filter a synthetic trajectory using its own variance series."""
-    return filter_record(traj.photocurrent, p, traj.grid, v_series=traj.v)
 
 
 class _LaneMoments:

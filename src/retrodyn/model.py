@@ -1,4 +1,4 @@
-"""Physical parameters, derived rates, and the Gaussian state representation.
+"""Physical parameters and derived rates.
 
 This module fixes the unit conventions for the whole package: rates are stored
 in angular units (rad/s), times in seconds, entropies in nats. Configuration
@@ -24,39 +24,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, NumericsError, ValidationError
 
 __all__ = [
     "PhysParams",
     "DerivedRates",
-    "GaussianState",
     "validate_params",
     "derive_rates",
-    "hz_to_angular",
-    "angular_to_hz",
     "parse_config_text",
     "load_config",
 ]
 
 TWO_PI = 2.0 * math.pi
 
-#: Tolerance absorbed into the Heisenberg bound check of GaussianState.
-HEISENBERG_TOL = 1e-9
-
 #: Allowed relative mismatch between gamma_qba and 4 g^2 / kappa.
 QBA_CONSISTENCY_TOL = 0.05
-
-
-def hz_to_angular(f: float) -> float:
-    """Convert an ordinary frequency in Hz to an angular rate in rad/s."""
-    return TWO_PI * f
-
-
-def angular_to_hz(w: float) -> float:
-    """Convert an angular rate in rad/s to an ordinary frequency in Hz."""
-    return w / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -154,37 +136,6 @@ class DerivedRates:
     lambda_b: float
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Isotropic Gaussian state: means r = (<X>, <Y>) and scalar variance v.
-
-    The covariance matrix is v times the 2x2 identity, which the conditional
-    dynamics preserves. v must respect the Heisenberg bound 1/2 (up to a
-    1e-9 tolerance that absorbs integrator round-off).
-    """
-
-    r: np.ndarray
-    v: float
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (2,):
-            raise ValidationError(f"r must be a 2-vector, got shape {r.shape}")
-        if not np.all(np.isfinite(r)) or not math.isfinite(self.v):
-            raise ValidationError("GaussianState components must be finite")
-        if self.v < 0.5 - HEISENBERG_TOL:
-            raise ValidationError(
-                f"v = {self.v!r} violates the Heisenberg bound v >= 1/2 - {HEISENBERG_TOL}"
-            )
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def theta(self) -> float:
-        """The stochastic-rate argument theta = v + r.r / 2."""
-        return self.v + 0.5 * float(self.r @ self.r)
-
-
 _REQUIRED_KEYS = ("gamma_m", "n_th", "gamma_qba", "eta_det")
 _OPTIONAL_KEYS = ("omega_m", "kappa", "g", "delta")
 _DIMENSIONLESS = {"n_th", "eta_det"}
@@ -213,7 +164,7 @@ def validate_params(raw: dict) -> PhysParams:
         if bare is not None and hz is not None:
             raise ConfigError(f"both {key} and {key}_hz supplied; give exactly one")
         if hz is not None:
-            values[key] = hz_to_angular(float(hz))
+            values[key] = TWO_PI * float(hz)
         elif bare is not None:
             values[key] = float(bare)
     unknown = sorted(leftover)

@@ -495,13 +495,13 @@ class _Stage:
         self.name, self.wall_s = name, wall_s
 
     def __enter__(self):
-        self.t0 = time.monotonic()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self.wall_s is not None:
             self.wall_s[self.name] = (self.wall_s.get(self.name, 0.0)
-                                      + time.monotonic() - self.t0)
+                                      + time.perf_counter() - self.t0)
         if isinstance(exc, RetrodynError):
             raise type(exc)(f"stage '{self.name}': {exc}") from exc
         if isinstance(exc, (OSError, MemoryError, BrokenProcessPool)):
@@ -517,7 +517,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     bytes are a pure function of the configuration (manifest.json excepted:
     it carries timings, peak RSS and version strings).
     """
-    t_start = time.monotonic()
+    t_start = time.perf_counter()
     stage_s: dict = {}
     with _Stage("reconstruct"):
         _check_reconstruct_window(config)
@@ -601,7 +601,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         write_json(checks_path, checks)
         files["checks.json"] = checks_path
 
-    result.wall_time_s = time.monotonic() - t_start
+    result.wall_time_s = time.perf_counter() - t_start
     from . import __version__  # here, not at the top: the package imports this module
     manifest = {
         "config": config.echo(),

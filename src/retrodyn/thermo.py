@@ -29,22 +29,20 @@ import numpy as np
 
 from ._io import write_csv
 from .errors import DomainError, ShapeError, StatisticsError
-from .dynamics import TimeGrid, Trajectory
+from .dynamics import TimeGrid
 from .estimation import _LaneMoments
-from .model import GaussianState, PhysParams, derive_rates
+from .model import PhysParams, derive_rates
 
 __all__ = [
     "EntropySeries",
     "EnsembleRates",
     "wigner_entropy",
-    "stochastic_rates",
     "theta_rates",
     "information_rate",
     "differential_gain",
     "phonon_noise_rate",
     "unconditional_rates",
     "ness_production_rate",
-    "entropy_series",
     "entropy_rate_fd",
     "ensemble_average_rates",
     "energy_currents",
@@ -78,8 +76,10 @@ def _theta_slope(p: PhysParams) -> float:
 def theta_rates(theta, v, p: PhysParams):
     """Flux and production rates from theta = V + r.r/2 directly.
 
-    Array-friendly core behind stochastic_rates: theta and v broadcast, and
-    the theta term is shared between the two outputs so their sum cancels it
+    phi_c is the rate at which entropy leaves the resonator into the thermal
+    and measurement channels, pi_c the irreversible production. theta and v
+    broadcast, so one call serves a state, a record or an ensemble; the
+    theta term is shared between the two outputs so their sum cancels it
     exactly (the entropy balance holds to round-off along trajectories).
     """
     # u appears with opposite signs in the two rates; compute it once.
@@ -89,17 +89,6 @@ def theta_rates(theta, v, p: PhysParams):
     phi_c = p.gamma_m - u
     pi_c = u + (p.gamma_m * (rates.v_uc / v - 2.0) - 4.0 * rates.gamma_meas * v)
     return phi_c, pi_c
-
-
-def stochastic_rates(state: GaussianState, p: PhysParams) -> tuple[float, float]:
-    """Flux and production rates (phi_c, pi_c) of one conditional state.
-
-    Both are linear in theta = V + r.r/2; phi_c is the rate at which entropy
-    leaves the resonator into the thermal and measurement channels, pi_c the
-    irreversible production. Their sum is the entropy rate dS/dt.
-    """
-    phi_c, pi_c = theta_rates(state.theta, state.v, p)
-    return float(phi_c), float(pi_c)
 
 
 def phonon_noise_rate(v, p: PhysParams):
@@ -204,22 +193,6 @@ class EnsembleRates:
     stderr_phi_c: np.ndarray
     stderr_pi_c: np.ndarray
     n_samples: int
-
-
-def entropy_series(traj: Trajectory, p: PhysParams) -> EntropySeries:
-    """Evaluate all entropic series along a simulated trajectory."""
-    theta = traj.v + 0.5 * np.sum(traj.r * traj.r, axis=-1)
-    phi_c, pi_c = theta_rates(theta, traj.v, p)
-    return EntropySeries(
-        grid=traj.grid,
-        phi_c=phi_c,
-        pi_c=pi_c,
-        s_w=wigner_entropy(traj.v),
-        i_dot=information_rate(traj.v, p),
-        g_diff=differential_gain(traj.v, p),
-        theta=theta,
-        v=traj.v,
-    )
 
 
 def entropy_rate_fd(s_w, dt: float):

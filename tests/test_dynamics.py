@@ -59,18 +59,11 @@ class TestTimeGrid:
 
 class TestRiccati:
     def test_rhs_fixed_points(self, params, rates):
-        # v_ss is a root; v_uc is not (measurement still contracting there)
-        assert abs(rd.riccati_rhs(rates.v_ss, params)) < 1e-10 * params.gamma_m
-        assert rd.riccati_rhs(rates.v_uc, params) == pytest.approx(
-            -7490278.8850671705, rel=1e-12)
-
-    def test_rhs_array_input(self, params):
-        out = rd.riccati_rhs(np.array([1.0, 2.0]), params)
-        assert out.shape == (2,)
-
-    def test_rhs_rejects_nan(self, params):
-        with pytest.raises(rd.NumericsError):
-            rd.riccati_rhs(float("nan"), params)
+        # The right-hand side is v I_dot(v): v_ss is a root; v_uc is not
+        # (measurement still contracting there)
+        rhs = lambda v: v * rd.information_rate(v, params)
+        assert abs(rhs(rates.v_ss)) < 1e-10 * params.gamma_m
+        assert rhs(rates.v_uc) == pytest.approx(-7490278.8850671705, rel=1e-12)
 
     def test_against_closed_form(self, params, rates):
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=20000)
@@ -186,11 +179,6 @@ class TestTrajectory:
         with pytest.raises(rd.ValidationError):
             rd.simulate_batch(params, grid, 1.0, seed=1, streams=[])
 
-    def test_unconditional_state(self, params, rates):
-        s = rd.unconditional_state(params)
-        assert s.v == rates.v_uc
-        assert np.array_equal(s.r, np.zeros(2))
-
     # The ensemble stores r_hat, which equals the synthesized r to
     # inversion_max_abs (about 1e-14 against |r| of order 10).
 
@@ -271,6 +259,8 @@ class TestTrajectoryCsv:
             ("1,0,0,1,0", "expected rows of 6 columns"),      # ragged: five fields
             ("1,abc,0,1,0,0", "expected rows of 6 columns"),  # text in rx
             ("1,0,0,nan,0,0", "non-finite t, r or v"),        # non-finite v
+            ("-1,0,0,1,0,0", "time column is not increasing"),  # t decreases
+            ("0,0,0,1,0,0", "time column is not increasing"),   # t repeats
             (None, "expected rows of 6 columns"),             # no data rows
         ]])
     def test_malformed_row_rejected(self, params, tmp_path, row, message):

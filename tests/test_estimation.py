@@ -32,7 +32,8 @@ def _flat_ev(v_d_value, n_nodes=100, stderr=1e-9, dt=1e-6):
 
 class TestForwardFilter:
     def test_inverts_synthesis(self, small_traj, params):
-        path = rd.filter_trajectory(small_traj, params)
+        path = rd.filter_record(small_traj.photocurrent, params, small_traj.grid,
+                                v_series=small_traj.v)
         assert np.max(np.abs(path.r_hat - small_traj.r)) < 1e-9
 
     def test_default_variance_matches_explicit(self, small_traj, params):
@@ -110,7 +111,7 @@ class TestBackwardFilter:
 
     def test_valid_range_excludes_burn_in(self, small_traj, params):
         # horizon (2000 steps) shorter than the burn-in window: nothing valid
-        path = rd.filter_trajectory(small_traj, params)
+        path = rd.filter_record(small_traj.photocurrent, params, small_traj.grid)
         assert path.valid_range == (0, 0)
 
     def test_linearity_in_record(self, small_traj, params):

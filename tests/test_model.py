@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,26 +108,6 @@ class TestDerivedRates:
         p = make(gamma_qba=REF["gamma_qba"] * scale)
         d = rd.derive_rates(p)
         assert 0.0 < d.v_ss <= d.v_uc
-
-    @given(st.floats(min_value=1e-12, max_value=1e12,
-                     allow_nan=False, allow_infinity=False))
-    def test_hz_roundtrip(self, f):
-        assert rd.angular_to_hz(rd.hz_to_angular(f)) == pytest.approx(f, rel=1e-15)
-
-
-class TestGaussianState:
-    def test_theta(self):
-        s = rd.GaussianState(r=np.array([1.0, 2.0]), v=3.0)
-        assert s.theta == pytest.approx(3.0 + 2.5, rel=1e-15)
-
-    def test_vacuum_floor(self):
-        rd.GaussianState(r=np.zeros(2), v=0.5)
-        with pytest.raises(rd.ValidationError, match="Heisenberg"):
-            rd.GaussianState(r=np.zeros(2), v=0.4)
-
-    def test_r_shape(self):
-        with pytest.raises(rd.ValidationError, match="2-vector"):
-            rd.GaussianState(r=np.zeros(3), v=1.0)
 
 
 class TestValidateParams:

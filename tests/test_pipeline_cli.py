@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import os
+import time
 import tracemalloc
+import types
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -587,6 +589,21 @@ class TestStagesAndEmit:
             emit_figure_data(result, "fig3")
         with pytest.raises(rd.ValidationError, match="which"):
             emit_figure_data(result, "fig9")
+
+    def test_stage_times_survive_a_coarse_monotonic_clock(self, tmp_path, monkeypatch):
+        # time.monotonic ticks every 15.6 ms on Windows before Python 3.13,
+        # longer than this whole run; its simulate stage must still time
+        # nonzero, or lane_steps_per_s divides by zero.
+        tick, start = 0.015625, time.monotonic()
+        coarse = types.SimpleNamespace(
+            monotonic=lambda: start + tick * ((time.monotonic() - start) // tick),
+            perf_counter=time.perf_counter)
+        monkeypatch.setattr(pipeline, "time", coarse)
+        run_experiment(default_config(out_dir=str(tmp_path), n_traj=2, t_final=2e-6,
+                                      pipelines=("thermo",), n_workers=1))
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert math.isfinite(manifest["lane_steps_per_s"])
+        assert manifest["lane_steps_per_s"] > 0.0
 
     def test_failing_stage_is_named(self, tmp_path):
         # horizon shorter than the backward burn-in leaves no valid window

@@ -24,6 +24,22 @@ S_AT_UC = 6.347850177872413
 S_AT_SS = 2.5678923885255984
 
 
+def _theta(traj):
+    """theta = V + r.r/2 at every node of a record."""
+    return traj.v + 0.5 * np.sum(traj.r * traj.r, axis=-1)
+
+
+def _series(traj, p):
+    """A record's EntropySeries, its rates from theta."""
+    theta = _theta(traj)
+    phi_c, pi_c = rd.theta_rates(theta, traj.v, p)
+    return rd.EntropySeries(grid=traj.grid, phi_c=phi_c, pi_c=pi_c,
+                            s_w=rd.wigner_entropy(traj.v),
+                            i_dot=rd.information_rate(traj.v, p),
+                            g_diff=rd.differential_gain(traj.v, p),
+                            theta=theta, v=traj.v)
+
+
 class TestWignerEntropy:
     def test_vacuum_noise_floor(self):
         # v = 1/2 gives 1 + ln(pi)
@@ -55,9 +71,8 @@ class TestWignerEntropy:
 
 class TestStochasticRates:
     def test_unconditional_point(self, params, rates):
-        # at theta = v = V_uc the flux is minus the steady production
-        state = rd.GaussianState(r=np.zeros(2), v=rates.v_uc)
-        phi_c, pi_c = rd.stochastic_rates(state, params)
+        # at theta = v = V_uc (r = 0) the flux is minus the steady production
+        phi_c, pi_c = rd.theta_rates(rates.v_uc, rates.v_uc, params)
         assert phi_c == pytest.approx(-PI_UC_SS, rel=1e-12)
         assert pi_c == pytest.approx(PI_C_AT_UC, rel=1e-12)
         # decomposition pi_c = Pi_uc + I_dot at that point
@@ -67,8 +82,7 @@ class TestStochasticRates:
         p = rd.PhysParams(gamma_m=2.0 * math.pi * 19.0, n_th=14.0,
                           gamma_qba=0.0, eta_det=0.0)
         nbar = p.n_th + 0.5
-        state = rd.GaussianState(r=np.zeros(2), v=nbar)
-        phi_c, pi_c = rd.stochastic_rates(state, p)
+        phi_c, pi_c = rd.theta_rates(nbar, nbar, p)
         assert phi_c == pytest.approx(0.0, abs=1e-10 * p.gamma_m)
         assert pi_c == pytest.approx(0.0, abs=1e-10 * p.gamma_m)
 
@@ -78,8 +92,7 @@ class TestStochasticRates:
         # V_uc and the stochastic production reproduces the unmonitored
         # steady rate (the V_ss Riccati root kills the remainder)
         rr = 2.0 * (rates.v_uc - rates.v_ss)
-        state = rd.GaussianState(r=np.array([math.sqrt(rr), 0.0]), v=rates.v_ss)
-        _, pi_c = rd.stochastic_rates(state, params)
+        _, pi_c = rd.theta_rates(rates.v_ss + 0.5 * rr, rates.v_ss, params)
         assert pi_c == pytest.approx(PI_UC_SS, rel=1e-9)
 
     def test_rates_linear_in_theta(self, params, rates):
@@ -92,8 +105,9 @@ class TestStochasticRates:
 
     def test_balance_identity_along_trajectory(self, small_traj, params):
         # phi_c + pi_c equals the entropy rate dS/dt = I_dot(V) pointwise
-        es = rd.entropy_series(small_traj, params)
-        assert np.max(np.abs((es.phi_c + es.pi_c) / es.i_dot - 1.0)) < 1e-9
+        phi_c, pi_c = rd.theta_rates(_theta(small_traj), small_traj.v, params)
+        i_dot = rd.information_rate(small_traj.v, params)
+        assert np.max(np.abs((phi_c + pi_c) / i_dot - 1.0)) < 1e-9
 
     def test_domain(self, params):
         with pytest.raises(rd.DomainError):
@@ -115,10 +129,10 @@ class TestInformationRate:
             G_DIFF_SS, rel=1e-12)
 
     def test_equals_variance_log_derivative(self, params, rates):
-        # I_dot(v) = riccati_rhs(v) / v on the contract grid
+        # I_dot(v) = dV/dt / v, the Riccati right-hand side over v
         v = np.linspace(rates.v_ss / 2.0, 2.0 * rates.v_uc, 200)
         lhs = rd.information_rate(v, params)
-        rhs = rd.riccati_rhs(v, params) / v
+        rhs = (params.gamma_m * (rates.v_uc - v) - 4.0 * rates.gamma_meas * v * v) / v
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_gain_bounds_rate_from_below(self, params, rates):
@@ -186,14 +200,6 @@ class TestEnergyCurrents:
 
 
 class TestEntropySeries:
-    def test_fields_and_theta(self, small_traj, params):
-        es = rd.entropy_series(small_traj, params)
-        n = small_traj.grid.n_steps + 1
-        assert es.phi_c.shape == es.pi_c.shape == es.theta.shape == (n,)
-        expected_theta = small_traj.v + 0.5 * (small_traj.r ** 2).sum(axis=1)
-        assert np.array_equal(es.theta, expected_theta)
-        assert np.array_equal(es.s_w, rd.wigner_entropy(small_traj.v))
-
     def test_finite_difference_entropy_rate(self, params, rates):
         # the second-order stencil carries O(dt^2 S''') error, largest in
         # the fast initial transient (~3e-4); it collapses once V settles
@@ -211,7 +217,7 @@ class TestEnsembleAverageRates:
         v0 = rd.derive_rates(params).v_uc
         trajs = [rd.simulate_trajectory(params, g, v0, seed=91, stream=s)
                  for s in (0, 1)]
-        return [rd.entropy_series(t, params) for t in trajs]
+        return [_series(t, params) for t in trajs]
 
     def test_means_and_stderr(self, params):
         series = self._two_lane_series(params)
@@ -244,7 +250,7 @@ class TestEnsembleAverageRates:
     def test_grid_mismatch(self, params, rates):
         g1 = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=100)
         g2 = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=101)
-        mk = lambda g: rd.entropy_series(
+        mk = lambda g: _series(
             rd.simulate_trajectory(params, g, rates.v_uc, seed=9), params)
         with pytest.raises(rd.ShapeError, match="grid"):
             rd.ensemble_average_rates([mk(g1), mk(g2)], params)
@@ -253,7 +259,7 @@ class TestEnsembleAverageRates:
         # The rates are derived from the mean theta on one variance series,
         # so lanes that started from different variances cannot be pooled.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=100)
-        mk = lambda v0: rd.entropy_series(
+        mk = lambda v0: _series(
             rd.simulate_trajectory(params, g, v0, seed=9), params)
         with pytest.raises(rd.ShapeError, match="variance series"):
             rd.ensemble_average_rates([mk(rates.v_uc), mk(rates.v_ss)], params)
