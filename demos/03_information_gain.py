@@ -41,6 +41,13 @@ def main(out_path="information_demo.csv"):
     print(f"variance halves by t = {t[k_half] * 1e6:.2f} us; "
           f"I_dot there is {i_dot[k_half]:+.3e} nats/s")
 
+    # dS/dt = I_dot: the rate integrates to the Wigner entropy that
+    # conditioning on the record removes
+    ds = rd.wigner_entropy(v[-1]) - rd.wigner_entropy(v[0])
+    integral = float(np.sum(0.5 * (i_dot[1:] + i_dot[:-1]))) * grid.dt
+    print(f"entropy change S(V(T)) - S(V_uc) = {ds:+.5f} nats; "
+          f"trapezoid integral of I_dot = {integral:+.5f} nats")
+
     # the split is exact by construction, not just to tolerance
     assert np.array_equal(i_dot, gain + bath)
 

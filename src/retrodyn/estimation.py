@@ -324,10 +324,12 @@ def difference_variance(paths) -> EnsembleVariance:
     """Pooled sample variance of the difference trajectory over an ensemble.
 
     paths is a collection of FilteredPath on one common grid (batched paths
-    count each lane as one sample). The ensemble mean is subtracted even
-    though it vanishes in theory. Lanes are folded one by one in the order
-    given (_LaneMoments), so the result does not depend on how the lanes
-    were batched or scheduled upstream; paths may be a generator.
+    count each lane as one sample), each with r_hat and r_b of one shape,
+    (nodes, 2) or (lanes, nodes, 2), nodes = grid.n_steps + 1. The ensemble
+    mean is subtracted even though it vanishes in theory. Lanes are folded
+    one by one in the order given (_LaneMoments), so the result does not
+    depend on how the lanes were batched or scheduled upstream; paths may be
+    a generator.
     """
     moments = _LaneMoments()
     grid, lo, hi = None, 0, math.inf
@@ -336,9 +338,15 @@ def difference_variance(paths) -> EnsembleVariance:
             grid = path.grid
         elif path.grid != grid:
             raise ShapeError("all FilteredPaths must share one grid")
+        r_hat, r_b = np.asarray(path.r_hat), np.asarray(path.r_b)
+        nodes = grid.n_steps + 1
+        if r_hat.shape != r_b.shape or r_hat.shape[-2:] != (nodes, 2) or r_hat.ndim > 3:
+            raise ShapeError(
+                f"r_hat {r_hat.shape} and r_b {r_b.shape} must both be ({nodes}, 2) "
+                f"or (lanes, {nodes}, 2) on a grid of {grid.n_steps} steps")
         lo = max(lo, path.valid_range[0])
         hi = min(hi, path.valid_range[1])
-        d = path.r_hat - path.r_b
+        d = r_hat - r_b
         # The window is applied after the fold: each node's moments are
         # independent of the others', so the bits are the same.
         moments.fold(d if d.ndim == 3 else d[None])

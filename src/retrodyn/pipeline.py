@@ -59,10 +59,10 @@ from .dynamics import (DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, PHOTOCUR
                        TimeGrid, check_grid)
 from .errors import (ConfigError, ResourceError, RetrodynError, StatisticsError,
                      ValidationError)
-from .estimation import EnsembleVariance, FilteredPath, _LaneMoments
+from .estimation import EnsembleVariance, _LaneMoments
 from .fullmodel import adiabatic_consistency_check
 from .model import PhysParams, derive_rates, load_config, validate_params
-from .thermo import EnsembleRates, EntropySeries
+from .thermo import EnsembleRates
 
 __all__ = [
     "ExperimentConfig",
@@ -250,26 +250,10 @@ class EnsembleBundle:
     r_hat: np.ndarray | None
     r_b: np.ndarray | None
     theta: np.ndarray
-    params: PhysParams
     d_moments: _LaneMoments = field(default_factory=_LaneMoments)
     theta_moments: _LaneMoments = field(default_factory=_LaneMoments)
     inversion_max_abs: float = 0.0
     photocurrent_residual: float = 0.0
-
-    def paths(self) -> list:
-        """The kept lanes as one batched FilteredPath, for difference_variance."""
-        return [FilteredPath(grid=self.grid_out, r_hat=self.r_hat, r_b=self.r_b,
-                             valid_range=(0, self.valid_stop))]
-
-    def series(self) -> list:
-        """The kept lanes as one batched EntropySeries; its rates derived from theta."""
-        v, p = self.v_out, self.params
-        phi_c, pi_c = thermo.theta_rates(self.theta, v, p)
-        return [EntropySeries(grid=self.grid_out, phi_c=phi_c, pi_c=pi_c,
-                              s_w=thermo.wigner_entropy(v),
-                              i_dot=thermo.information_rate(v, p),
-                              g_diff=thermo.differential_gain(v, p),
-                              theta=self.theta, v=v)]
 
     def _fold(self, bounds, results) -> None:
         """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
@@ -408,7 +392,7 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
         r_hat=np.empty(filtered) if keep_filtered else None,
         r_b=np.empty(filtered) if keep_filtered else None,
-        theta=np.empty((n_kept, grid_out.n_steps + 1)), params=p)
+        theta=np.empty((n_kept, grid_out.n_steps + 1)))
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)

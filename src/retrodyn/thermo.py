@@ -34,7 +34,6 @@ from .estimation import _LaneMoments
 from .model import PhysParams, derive_rates
 
 __all__ = [
-    "EntropySeries",
     "EnsembleRates",
     "wigner_entropy",
     "theta_rates",
@@ -42,10 +41,8 @@ __all__ = [
     "differential_gain",
     "phonon_noise_rate",
     "unconditional_rates",
-    "ness_production_rate",
     "entropy_rate_fd",
     "ensemble_average_rates",
-    "energy_currents",
     "write_rates_csv",
 ]
 
@@ -128,8 +125,7 @@ def unconditional_rates(p: PhysParams, v) -> tuple:
         pi_uc  = -2 Gamma_m + v Gamma_m / nbar + nbar Gamma_m / v
                  + 4 v Gamma_qba + Gamma_qba / v.
 
-    At v = V_uc they satisfy phi_uc = -pi_uc. A reduced production-rate
-    formula that coincides there is ness_production_rate.
+    At v = V_uc they satisfy phi_uc = -pi_uc.
     """
     v = _as_positive(v, "unconditional_rates")
     nbar = p.n_th + 0.5
@@ -139,42 +135,6 @@ def unconditional_rates(p: PhysParams, v) -> tuple:
     if np.ndim(phi_uc) == 0:
         return float(phi_uc), float(pi_uc)
     return phi_uc, pi_uc
-
-
-def ness_production_rate(p: PhysParams) -> float:
-    """Reduced steady-state production rate Gamma_m (V_uc/nbar - 1) + 4 Gamma_qba V_uc."""
-    v_uc = derive_rates(p).v_uc
-    return p.gamma_m * (v_uc / (p.n_th + 0.5) - 1.0) + 4.0 * p.gamma_qba * v_uc
-
-
-def energy_currents(n_mean: float, p: PhysParams) -> tuple[float, float]:
-    """Steady phonon-number currents (j_th, j_opt) in quanta/s.
-
-    j_th = -Gamma_m (n_mean - n_th) is the net flow out of the thermal bath;
-    j_opt = Gamma_qba is the backaction heating absorbed by the optical mode.
-    They balance when n_mean = n_th + Gamma_qba / Gamma_m.
-    """
-    return -p.gamma_m * (n_mean - p.n_th), p.gamma_qba
-
-
-@dataclass(frozen=True)
-class EntropySeries:
-    """Entropic quantities along one trajectory (or a batch of lanes).
-
-    phi_c, pi_c, theta may carry a leading batch axis; v is the deterministic
-    variance, and s_w, i_dot, g_diff depend only on it and are shared, all of
-    shape (n_steps + 1,). Units: v, s_w and theta dimensionless (nats for
-    s_w), everything else nats/s.
-    """
-
-    grid: TimeGrid
-    phi_c: np.ndarray
-    pi_c: np.ndarray
-    s_w: np.ndarray
-    i_dot: np.ndarray
-    g_diff: np.ndarray
-    theta: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -203,23 +163,23 @@ def entropy_rate_fd(s_w, dt: float):
     return np.gradient(np.asarray(s_w, dtype=float), dt, edge_order=2)
 
 
-def ensemble_average_rates(series, p: PhysParams) -> EnsembleRates:
+def ensemble_average_rates(theta, v, grid: TimeGrid, p: PhysParams) -> EnsembleRates:
     """Pointwise sample means of phi_c and pi_c over an ensemble.
 
-    series is a collection of EntropySeries on one grid and variance series;
-    batched series count each lane separately. Only theta is folded, lane by
-    lane in the order given (estimation._LaneMoments), so series may be a
-    generator. Standard errors are k * sample-std(theta) / sqrt(N).
+    theta holds one lane of theta = V + r.r/2 per row, shape (lanes,
+    grid.n_steps + 1), on the variance series v. The lanes are folded one by
+    one in row order (estimation._LaneMoments). Standard errors are k *
+    sample-std(theta) / sqrt(N).
     """
-    theta = _LaneMoments()
-    grid = v = None
-    for s in series:
-        if grid is None:
-            grid, v = s.grid, s.v
-        elif s.grid != grid or not np.array_equal(s.v, v):
-            raise ShapeError("all EntropySeries must share one grid and variance series")
-        theta.fold(s.theta if s.theta.ndim == 2 else s.theta[None])
-    return _ensemble_rates(theta, v, grid, p)
+    theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
+    nodes = grid.n_steps + 1
+    if theta.ndim != 2 or theta.shape[1] != nodes or v.shape != (nodes,):
+        raise ShapeError(
+            f"theta must be (lanes, {nodes}) and v ({nodes},) on a grid of "
+            f"{grid.n_steps} steps, got {theta.shape} and {v.shape}")
+    moments = _LaneMoments()
+    moments.fold(theta)
+    return _ensemble_rates(moments, v, grid, p)
 
 
 def _ensemble_rates(theta: _LaneMoments, v, grid: TimeGrid,

@@ -39,12 +39,14 @@ def ensemble(params, grid, rates) -> rd.EnsembleBundle:
 
 @pytest.fixture(scope="session")
 def ensemble_variance(ensemble) -> rd.EnsembleVariance:
-    return rd.difference_variance(ensemble.paths())
+    return rd.difference_variance([rd.FilteredPath(
+        ensemble.grid_out, ensemble.r_hat, ensemble.r_b, (0, ensemble.valid_stop))])
 
 
 @pytest.fixture(scope="session")
 def ensemble_rates(ensemble, params) -> rd.EnsembleRates:
-    return rd.ensemble_average_rates(ensemble.series(), params)
+    return rd.ensemble_average_rates(ensemble.theta, ensemble.v_out, ensemble.grid_out,
+                                     params)
 
 
 @pytest.fixture()

@@ -1,5 +1,5 @@
 """Smoke test of the demo scripts and of the README's Python quick start:
-each runs to completion."""
+each runs to completion, and demos 01 and 02 print their pinned numbers."""
 
 import runpy
 import sys
@@ -9,6 +9,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+# Seeded ensembles, so these printed figures are exact. At N = 200 demo 01's
+# run records reconstruction_rms_rel 0.127, above its 0.05 bound; the demo
+# reports that and does not fail on it.
+PRINTED = {
+    "01_variance_reconstruction": [
+        "valid window: 517 points", "0.7869 (+3.09%)", "0.7959 (+4.25%)",
+        "rms 12.7%, max |z| 2.92", "reconstruction_rms_rel fails its 5% bound"],
+    "02_entropy_rates": [
+        "pi_c = +1.6473e+05", "pi_c = +1.4514e+04", "pi_c = +4.9252e+04",
+        "pi_c = +5.0981e+04", "Pi_c = Pi_uc + I_dot(V): 1.13",
+        "Phi_c = Phi_uc        : 1.13"],
+}
 
 
 def test_all_demos_found():
@@ -21,7 +35,10 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", [str(demo)])
     runpy.run_path(str(demo), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    missing = [text for text in PRINTED.get(demo.stem, []) if text not in out]
+    assert not missing, missing
 
 
 def test_readme_quick_start_runs():

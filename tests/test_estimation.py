@@ -229,6 +229,18 @@ class TestDifferenceVariance:
         with pytest.raises(rd.ShapeError, match="grid"):
             rd.difference_variance([p1, p2])
 
+    @pytest.mark.parametrize("r_hat_shape, r_b_shape", [
+        ((3, 4, 2), (3, 4, 2)),  # 4 nodes on a 5-step grid
+        ((3, 6, 2), (1, 6, 2)),  # r_b would broadcast against r_hat
+    ], ids=["nodes-short-of-grid", "r_b-broadcasts"])
+    def test_shape_mismatch(self, r_hat_shape, r_b_shape):
+        g = rd.TimeGrid(t0=0.0, dt=1e-6, n_steps=5)
+        rng = np.random.default_rng(8)
+        path = _manual_path(g, rng.normal(size=r_hat_shape),
+                            rng.normal(size=r_b_shape), (0, 6))
+        with pytest.raises(rd.ShapeError, match="r_hat"):
+            rd.difference_variance([path])
+
     def test_empty_window_after_burn_in(self):
         g = rd.TimeGrid(t0=0.0, dt=1e-6, n_steps=4)
         p1 = _manual_path(g, np.zeros((5, 2)), np.zeros((5, 2)), (0, 0))

@@ -160,8 +160,7 @@ class TestEnsembleBundle:
         n_out = 200
         assert b.grid_out.n_steps == n_out and b.grid_out.dt == 2e-6
         assert b.r_hat.shape == b.r_b.shape == (6, n_out + 1, 2)
-        (series,) = b.series()
-        assert b.theta.shape == series.phi_c.shape == series.pi_c.shape == (6, n_out + 1)
+        assert b.theta.shape == (6, n_out + 1)
         assert b.v_out.shape == (n_out + 1,)
         lam = rd.derive_rates(params).lambda_b
         burn = math.ceil(10.0 / (lam * 2e-6))
@@ -177,26 +176,15 @@ class TestEnsembleBundle:
         np.testing.assert_array_equal(one.r_b, many.r_b)
         np.testing.assert_array_equal(one.theta, many.theta)
 
-    def test_paths_and_series_views(self, params):
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        b = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=4)
-        (path,) = b.paths()
-        assert path.valid_range == (0, b.valid_stop)
-        assert path.r_hat.shape == (4, 101, 2)
-        (series,) = b.series()
-        np.testing.assert_array_equal(series.theta, b.theta)
-        np.testing.assert_array_equal(
-            series.i_dot, rd.information_rate(b.v_out, params))
-
     def test_moments_equal_public_reductions(self, params):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=10000)
         b = collect_ensemble(params, g, 7, 3, decimation=10, chunk_size=3)
-        ev = rd.difference_variance(b.paths())
+        ev = rd.difference_variance([_filtered_path(b)])
         own = estimation._pooled_difference_variance(
             b.d_moments.variance(), b.d_moments.count, b.grid_out, 0)
         assert own.grid == ev.grid and own.n_samples == ev.n_samples
         assert _bitwise_equal(own.v_d, ev.v_d) and _bitwise_equal(own.stderr, ev.stderr)
-        rates = rd.ensemble_average_rates(b.series(), params)
+        rates = rd.ensemble_average_rates(b.theta, b.v_out, b.grid_out, params)
         own = thermo._ensemble_rates(b.theta_moments, b.v_out, b.grid_out, params)
         assert own.n_samples == rates.n_samples == 7
         for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
@@ -205,6 +193,11 @@ class TestEnsembleBundle:
 
 def _bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _filtered_path(b) -> rd.FilteredPath:
+    """Every lane of a collect_ensemble bundle, for difference_variance."""
+    return rd.FilteredPath(b.grid_out, b.r_hat, b.r_b, (0, b.valid_stop))
 
 
 #: Steps per kernel block at 2 lanes under the small_blocks fixture.
@@ -340,7 +333,6 @@ class TestUnmonitored:
         phi_uc, pi_uc = rd.unconditional_rates(p, rd.derive_rates(p).v_uc)
         np.testing.assert_allclose(rates.phi_c, phi_uc, rtol=1e-12)
         np.testing.assert_allclose(rates.pi_c, pi_uc, rtol=1e-12)
-        np.testing.assert_allclose(rates.pi_c, rd.ness_production_rate(p), rtol=1e-12)
         np.testing.assert_allclose(rates.phi_c, -rates.pi_c, rtol=1e-12)
         assert np.all(rates.g_diff == 0.0)
         assert np.max(np.abs(rates.i_dot)) <= 1e-12 * abs(pi_uc)
@@ -496,17 +488,17 @@ class TestStreamedRun:
         cfg = result.config
         b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
                              decimation=cfg.decimation, chunk_size=cfg.chunk_size)
-        ev = rd.difference_variance(b.paths())
-        (series,) = b.series()
-        rates = rd.ensemble_average_rates([series], params)
+        ev = rd.difference_variance([_filtered_path(b)])
+        rates = rd.ensemble_average_rates(b.theta, b.v_out, b.grid_out, params)
+        phi_c, pi_c = rd.theta_rates(b.theta, b.v_out, params)
         assert result.ev.grid == ev.grid and result.ev.n_samples == ev.n_samples
         assert _bitwise_equal(result.ev.v_d, ev.v_d)
         assert _bitwise_equal(result.ev.stderr, ev.stderr)
         assert result.rates.n_samples == rates.n_samples
         for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
             assert _bitwise_equal(getattr(result.rates, name), getattr(rates, name)), name
-        assert _bitwise_equal(result.display_phi, series.phi_c[:cfg.n_display])
-        assert _bitwise_equal(result.display_pi, series.pi_c[:cfg.n_display])
+        assert _bitwise_equal(result.display_phi, phi_c[:cfg.n_display])
+        assert _bitwise_equal(result.display_pi, pi_c[:cfg.n_display])
         by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
         assert by_name["photocurrent_identity"] == b.photocurrent_residual
         assert by_name["filter_inversion_max_abs"] == b.inversion_max_abs
@@ -520,9 +512,9 @@ class TestStreamedRun:
         result = run_experiment(cfg)
         b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
                              decimation=cfg.decimation, chunk_size=cfg.chunk_size)
-        (series,) = b.series()
-        assert _bitwise_equal(result.display_phi, series.phi_c[:5])
-        assert _bitwise_equal(result.display_pi, series.pi_c[:5])
+        phi_c, pi_c = rd.theta_rates(b.theta, b.v_out, params)
+        assert _bitwise_equal(result.display_phi, phi_c[:5])
+        assert _bitwise_equal(result.display_pi, pi_c[:5])
 
     def test_peak_memory_does_not_grow_with_n_traj(self, tmp_path):
         # Fixed chunks, so the per-chunk working set is the same at both N;

@@ -1,4 +1,4 @@
-"""Entropy flux, production, information rate, and energy currents.
+"""Entropy flux, production, and information rate.
 
 Point values are frozen against independent evaluation of the closed-form
 rate expressions; identity tests exploit the shared-term construction in
@@ -27,17 +27,6 @@ S_AT_SS = 2.5678923885255984
 def _theta(traj):
     """theta = V + r.r/2 at every node of a record."""
     return traj.v + 0.5 * np.sum(traj.r * traj.r, axis=-1)
-
-
-def _series(traj, p):
-    """A record's EntropySeries, its rates from theta."""
-    theta = _theta(traj)
-    phi_c, pi_c = rd.theta_rates(theta, traj.v, p)
-    return rd.EntropySeries(grid=traj.grid, phi_c=phi_c, pi_c=pi_c,
-                            s_w=rd.wigner_entropy(traj.v),
-                            i_dot=rd.information_rate(traj.v, p),
-                            g_diff=rd.differential_gain(traj.v, p),
-                            theta=theta, v=traj.v)
 
 
 class TestWignerEntropy:
@@ -154,10 +143,6 @@ class TestUnconditionalRates:
         assert pi == pytest.approx(PI_UC_SS, rel=1e-12)
         assert (phi + pi) / abs(pi) == pytest.approx(0.0, abs=1e-12)
 
-    def test_reduced_formula_coincides_at_v_uc(self, params, rates):
-        _, pi = rd.unconditional_rates(params, rates.v_uc)
-        assert rd.ness_production_rate(params) == pytest.approx(pi, rel=1e-12)
-
     def test_equilibrium_rates_vanish(self):
         p = rd.PhysParams(gamma_m=5.0, n_th=3.0, gamma_qba=0.0, eta_det=0.0)
         phi, pi = rd.unconditional_rates(p, p.n_th + 0.5)
@@ -183,22 +168,6 @@ class TestUnconditionalRates:
         assert phi.shape == pi.shape == (5,)
 
 
-class TestEnergyCurrents:
-    def test_backaction_current_is_qba_rate(self, params):
-        j_th, j_opt = rd.energy_currents(20.0, params)
-        assert j_opt == params.gamma_qba == pytest.approx(2.0 * math.pi * 360.0)
-
-    def test_thermal_current_sign(self, params):
-        assert rd.energy_currents(params.n_th, params)[0] == 0.0
-        assert rd.energy_currents(params.n_th + 1.0, params)[0] < 0.0
-        assert rd.energy_currents(params.n_th - 1.0, params)[0] > 0.0
-
-    def test_currents_balance_at_steady_occupation(self, params):
-        n_ss = params.n_th + params.gamma_qba / params.gamma_m
-        j_th, j_opt = rd.energy_currents(n_ss, params)
-        assert j_th + j_opt == pytest.approx(0.0, abs=1e-9 * j_opt)
-
-
 class TestEntropySeries:
     def test_finite_difference_entropy_rate(self, params, rates):
         # the second-order stencil carries O(dt^2 S''') error, largest in
@@ -212,18 +181,18 @@ class TestEntropySeries:
 
 
 class TestEnsembleAverageRates:
-    def _two_lane_series(self, params):
+    def _two_lanes(self, params):
+        """theta of two records stacked (lanes, nodes), their variance and grid."""
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=300)
         v0 = rd.derive_rates(params).v_uc
         trajs = [rd.simulate_trajectory(params, g, v0, seed=91, stream=s)
                  for s in (0, 1)]
-        return [_series(t, params) for t in trajs]
+        return np.stack([_theta(t) for t in trajs]), trajs[0].v, g
 
     def test_means_and_stderr(self, params):
-        series = self._two_lane_series(params)
-        out = rd.ensemble_average_rates(series, params)
-        phi = np.stack([s.phi_c for s in series])
-        theta = np.stack([s.theta for s in series])
+        theta, v, g = self._two_lanes(params)
+        out = rd.ensemble_average_rates(theta, v, g, params)
+        phi, _ = rd.theta_rates(theta, v, params)
         np.testing.assert_allclose(out.phi_c, phi.mean(axis=0), rtol=1e-14)
         # Both rates have slope -k and +k in theta, so both standard errors
         # are k times theta's (node 0 has no scatter: both read 0 there).
@@ -235,45 +204,42 @@ class TestEnsembleAverageRates:
 
     def test_information_estimator_subtracts_ness_production(self, params,
                                                              rates):
-        series = self._two_lane_series(params)
-        out = rd.ensemble_average_rates(series, params)
+        out = rd.ensemble_average_rates(*self._two_lanes(params), params)
         pi_uc = rd.unconditional_rates(params, rates.v_uc)[1]
         assert np.array_equal(out.i_dot, out.pi_c - pi_uc)
 
     def test_too_few_lanes(self, params):
-        series = self._two_lane_series(params)[:1]
-        with pytest.raises(rd.StatisticsError):
-            rd.ensemble_average_rates(series, params)
-        with pytest.raises(rd.StatisticsError):
-            rd.ensemble_average_rates([], params)
+        theta, v, g = self._two_lanes(params)
+        for lanes in (theta[:1], theta[:0]):
+            with pytest.raises(rd.StatisticsError):
+                rd.ensemble_average_rates(lanes, v, g, params)
 
-    def test_grid_mismatch(self, params, rates):
-        g1 = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=100)
-        g2 = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=101)
-        mk = lambda g: _series(
-            rd.simulate_trajectory(params, g, rates.v_uc, seed=9), params)
-        with pytest.raises(rd.ShapeError, match="grid"):
-            rd.ensemble_average_rates([mk(g1), mk(g2)], params)
+    def test_grid_mismatch(self, params):
+        # theta must be (lanes, grid.n_steps + 1): one node too many or too
+        # few, or a single lane without its lane axis, is refused.
+        theta, v, g = self._two_lanes(params)
+        longer = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=301)
+        for args in ((theta, v, longer), (theta[:, :-1], v[:-1], g), (theta[0], v, g)):
+            with pytest.raises(rd.ShapeError, match="theta must be"):
+                rd.ensemble_average_rates(*args, params)
 
-    def test_variance_mismatch(self, params, rates):
+    def test_variance_mismatch(self, params):
         # The rates are derived from the mean theta on one variance series,
-        # so lanes that started from different variances cannot be pooled.
-        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=100)
-        mk = lambda v0: _series(
-            rd.simulate_trajectory(params, g, v0, seed=9), params)
-        with pytest.raises(rd.ShapeError, match="variance series"):
-            rd.ensemble_average_rates([mk(rates.v_uc), mk(rates.v_ss)], params)
+        # which must cover the same nodes.
+        theta, v, g = self._two_lanes(params)
+        with pytest.raises(rd.ShapeError, match="theta must be"):
+            rd.ensemble_average_rates(theta, v[:-1], g, params)
 
     def test_csv_export(self, params, tmp_path):
-        series = self._two_lane_series(params)
-        out = rd.ensemble_average_rates(series, params)
+        theta, v, g = self._two_lanes(params)
+        out = rd.ensemble_average_rates(theta, v, g, params)
         path = tmp_path / "rates.csv"
         rd.write_rates_csv(path, out)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,phi_c,pi_c,i_dot,g_diff,stderr_phi_c,stderr_pi_c"
         assert len(lines) == 1 + 301
         with pytest.raises(rd.ShapeError, match="number of paths"):
-            rd.write_rates_csv(path, out, [series[0].phi_c], [])
+            rd.write_rates_csv(path, out, [out.phi_c], [])
 
 
 class TestEnsembleThermoStatistics:
