@@ -301,7 +301,7 @@ class _LaneMoments:
 
     def fold(self, lanes) -> None:
         """Fold lanes[0], lanes[1], ... (the leading axis) in order."""
-        for x in np.ascontiguousarray(lanes):
+        for x in np.asarray(lanes):
             if self.shift is None:
                 self.shift = x.copy()
                 self.shifted_mean, self.m2 = np.zeros_like(x), np.zeros_like(x)

@@ -9,34 +9,25 @@ run_experiment turns a configuration into the figure-ready data products:
     checks.json         consistency-check records for CI
     manifest.json       config echo, versions, wall time
 
-Everything except manifest.json is a pure function of the configuration:
-trajectories are keyed (master_seed, stream) with stream = trajectory index,
-and every ensemble reduction is a lane-order fold. One function, _ensemble,
-runs every ensemble: chunk results arrive in stream-index order and each is
-folded lane by lane into the per-node running moments (count, mean, M2;
-Welford's update) of one EnsembleBundle, which also keeps the chunk's lanes
-below n_kept; then the chunk is dropped. Only r_hat - r_b and theta = V +
-r.r/2 are folded: the entropy rates, affine in theta, are derived from its
-moments and the display paths from its kept lanes, as in
-difference_variance and ensemble_average_rates, so a run's products equal
-theirs on collect_ensemble, which keeps every lane, bit for bit;
-byte-identical files come out regardless of how many workers run the
-chunks and how large the chunks are, and a run's memory does not grow with
-the ensemble size. The manifest records wall time, the wall seconds of
-each stage, peak RSS and library versions, and is the one file expected
-to differ between reruns.
+Everything but manifest.json (timings, peak RSS, versions) is a pure
+function of the configuration, whatever the worker count and chunk size:
+trajectories are keyed (master_seed, stream = trajectory index), and
+_ensemble folds each chunk's lanes, in stream-index order, into the per-node
+running moments (Welford's update) of one EnsembleBundle, then drops the
+chunk, so memory does not grow with the ensemble. Only r_hat - r_b and theta
+= V + r.r/2 are folded: the entropy rates, affine in theta, come from its
+moments and the display paths from its kept lanes, bit for bit as
+difference_variance and ensemble_average_rates give them on
+collect_ensemble, which keeps every lane.
 
-The Riccati series is solved once per ensemble and shared by every chunk.
-A chunk runs as one time-major pass over blocks of steps, laid out
-(steps, lanes, 2): noise draws, synthesis, photocurrent and prediction
-filter. It keeps theta at the decimated nodes and, when the reconstruction
-runs, r_hat there and one retrodiction window sum per node for the backward
-filter, and returns r_hat - r_b on the valid nodes; the synthesized means
-themselves are not kept, and no array of a chunk is full-resolution. Its
-block buffers are allocated once per chunk and sized by a lane-step
-budget, so a wider chunk takes shorter blocks. The kernel uses the same
-step helpers as simulate_batch, forward_filter and backward_filter(...,
-decimation), so every lane is bit-identical to the public lane-major path.
+A chunk runs as one time-major pass over blocks of whole decimation windows,
+laid out (steps, lanes, 2). The prediction filter repeats the synthesis up
+to round-off (r_hat = r), and both are linear in the draws, so every lane
+takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window of D
+steps, one weighted sum of its draws carries the means to the next node and
+another gives the retrodiction window sum. The lanes j < _CHECK_LANES also
+run the per-step route of simulate_batch and both filters as a reference
+(checks.json), which the products do not read.
 """
 
 from __future__ import annotations
@@ -44,12 +35,16 @@ from __future__ import annotations
 import math
 import os
 import platform
+import shutil
 import sys
+import tempfile
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -82,14 +77,17 @@ __all__ = [
 #: bytes alone.
 DEFAULT_CHUNK_SIZE = 450
 
-#: Lanes j below this are checked against the photocurrent identity,
-#: whatever chunks hold them: at the default chunk size, the first chunk.
-_PHOTOCURRENT_LANES = 450
+#: Lanes j below this also run the per-step route, whatever chunks hold them:
+#: at the default chunk size, the first chunk.
+_CHECK_LANES = 450
 
 #: Lane-steps per time-major block of the chunk kernel: one block array
 #: stays at about 3.6 MB whatever the chunk width. Rounded to whole
 #: decimation windows, blocks leave the bytes alone.
 _BLOCK_LANE_STEPS = 225_000
+
+#: Bound on window_route_max_rel, the two routes' difference: round-off.
+WINDOW_ROUTE_TOL = 1e-12
 
 DEFAULT_N_TRAJ = 3600
 DEFAULT_MASTER_SEED = 1234
@@ -234,14 +232,10 @@ class EnsembleBundle:
     d_moments holds the moments of r_hat - r_b on the valid window (nodes
     0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
     those of theta = V + r.r/2. theta keeps its first n_kept lanes, shape
-    (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj,
-    n_out + 1, 2), in collect_ensemble only, and are None otherwise. The
-    synthesized means r are not stored: r_hat equals them to
-    inversion_max_abs. grid_out is the decimated grid; v_out the Riccati
-    solution on it. photocurrent_residual is max |i dt - c r dt - dw| /
-    sqrt(dt) over the lanes j < _PHOTOCURRENT_LANES: the increments
-    recovered from the photocurrent, as read_trajectory_csv recovers them,
-    against the Philox draws.
+    (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj, n_out
+    + 1, 2), in collect_ensemble only, and are None otherwise. grid_out is
+    the decimated grid; v_out the Riccati solution on it. The check values
+    come from _compute_chunk; layer_s sums its seconds per kernel layer.
     """
 
     grid_out: TimeGrid
@@ -254,12 +248,15 @@ class EnsembleBundle:
     theta_moments: _LaneMoments = field(default_factory=_LaneMoments)
     inversion_max_abs: float = 0.0
     photocurrent_residual: float = 0.0
+    window_route_max_rel: float = 0.0
+    layer_s: Counter = field(default_factory=Counter)
 
     def _fold(self, bounds, results) -> None:
         """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
         each (lo, hi) in bounds, in that order, lane by lane."""
+        check_max = np.zeros(6)
         for lo, hi in bounds:
-            d, r_hat, r_b, theta, inv_max, photo_err = next(results)
+            d, r_hat, r_b, theta, chunk_max, layer_s = next(results)
             if d is not None:
                 self.d_moments.fold(d)
             if r_hat is not None:
@@ -267,90 +264,141 @@ class EnsembleBundle:
             self.theta_moments.fold(theta)
             k = max(min(hi, len(self.theta)) - lo, 0)
             self.theta[lo:lo + k] = theta[:k]
-            self.inversion_max_abs = float(np.maximum(self.inversion_max_abs, inv_max))
-            self.photocurrent_residual = float(np.maximum(self.photocurrent_residual,
-                                                          photo_err))
+            np.maximum(check_max, chunk_max, out=check_max)
+            self.layer_s.update(layer_s)
             # Drop the chunk's lanes before the next chunk is computed.
             del d, r_hat, r_b, theta
+        self.inversion_max_abs, self.photocurrent_residual = map(float, check_max[:2])
+        dev, ref = check_max[2::2], check_max[3::2]
+        self.window_route_max_rel = float(np.max(dev / np.where(ref > 0, ref, 1.0)))
+
+
+def _window_weights(amp_w, efac: float, cdt: float, afac: float, bcoef: float):
+    """(wu, ws, alpha) of windows of W steps with noise amplitudes amp_w,
+    shape (windows, W): r_{j+1} = efac^W r_j + sum_m wu[j, m] dw[j, m], and
+    the window sum bcoef sum_m afac^m (c r dt + dw)[j, m] is alpha r_j +
+    sum_m ws[j, m] dw[j, m]. The powers and sums run on Python floats."""
+    width = amp_w.shape[1]
+    epow = list(accumulate([efac] * (width - 1), mul, initial=1.0))
+    wu = np.array(epow[::-1]) * amp_w
+    apow = list(accumulate([afac] * (width - 1), mul, initial=1.0))
+    # g[l] = sum_{l < m < W} afac^m efac^(m-1-l), built from the end.
+    g = list(accumulate(apow[:0:-1], lambda acc, x: x + efac * acc, initial=0.0))[::-1]
+    ws = bcoef * (np.array(apow) + cdt * amp_w * np.array(g))
+    return wu, ws, bcoef * cdt * sum(x * y for x, y in zip(apow, epow))
+
+
+def _add_weighted(acc, wins, w, tmp) -> None:
+    """acc += sum_m w[:, m] wins[:, m] over (windows, W, lanes, 2), one
+    elementwise multiply-add per m in order: no bit depends on lanes or blocks."""
+    for m in range(wins.shape[1]):
+        np.add(acc, np.multiply(wins[:, m], w[:, m, None, None], out=tmp), out=acc)
 
 
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
-    One time-major pass over blocks of whole decimation windows draws the
-    noise, synthesizes the means and the photocurrent, runs the prediction
-    filter and keeps only max |r_hat - r| and, at the decimated nodes, theta
-    = V + r.r/2 and, with retrodiction, r_hat and the retrodiction window
-    sums, which the backward recursion then turns into r_b in place. Every
-    lane's bits equal the lane-major public path (simulate_batch,
-    forward_filter, backward_filter(..., decimation)). The chunk also returns
-    max |i dt - c r dt - dw| / sqrt(dt) over its first n_photo lanes, the
-    increments recovered from the photocurrent against the draws (0.0 when
-    n_photo is 0).
+    One time-major pass over blocks of whole decimation windows takes the
+    window route (_window_weights) on every lane and, on the first n_check
+    lanes, the per-step route too.
 
-    Returns (d, r_hat, r_b, theta, inv_max, photo_err), lane-major: d =
-    r_hat - r_b on the valid nodes k < valid_stop, shape (lanes, valid_stop,
-    2), r_hat and r_b on every node, and theta, shape (lanes, nodes). d,
-    r_hat and r_b are None without retrodiction (valid_stop None), and r_hat
-    and r_b also without keep. Top-level so process pools can pickle it.
+    Returns (d, r_hat, r_b, theta, check_max, layer_s): d = r_hat - r_b on
+    the valid nodes, (lanes, valid_stop, 2), r_hat and r_b on every node,
+    theta (lanes, nodes); d, r_hat and r_b are None without retrodiction
+    (valid_stop None), r_hat and r_b also without keep. check_max: max
+    |r_hat - r| and max |i dt - c r dt - dw| / sqrt(dt) of the per-step
+    route, then max |difference| and max |value| of the two routes' node
+    means and of their window sums. layer_s: seconds per kernel layer.
     Results depend only on args, never on which worker runs them.
     """
     (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep,
-     n_photo) = args
+     n_check) = args
     n, dt, lanes = grid.n_steps, grid.dt, hi - lo
-    c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
     n_nodes = n // decim + 1
     theta = np.empty((lanes, n_nodes))
     theta[:, 0] = v_nodes[0]  # r(0) = 0 on every lane
     retrodict = valid_stop is not None
+    # afac, bcoef; without retrodiction, zeros weight the unused window sums.
+    back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     if retrodict:
-        afac, bcoef = estimation._backward_coefficients(p, dt)
         rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
     block = min(decim * max(1, _BLOCK_LANE_STEPS // (lanes * decim)), n)
-    # buf holds the raw draws, then the photocurrent and i dt, then r_hat -
-    # r; r_hat rows 1..m hold the increments until the filter overwrites them.
-    buf = np.empty((block, lanes, 2))
-    r, r_hat = np.zeros((block + 1, lanes, 2)), np.zeros((block + 1, lanes, 2))
-    inv_max, photo_err = 0.0, 0.0
+    # raw: the draws, then window products and the check lanes' i dt; r_hat
+    # rows 1..m: the increments until the check lanes' filter fills them;
+    # nodes: r at the block's nodes, row 0 carried; r: check lanes' means.
+    raw, r_hat = np.empty((block, lanes, 2)), np.zeros((block + 1, lanes, 2))
+    nodes, r = np.zeros((block // decim + 1, lanes, 2)), np.zeros((block + 1, n_check, 2))
+    check_max, layer_s, clock = np.zeros(6), Counter(), [time.perf_counter()]
+
+    def lap(layer):
+        clock.append(time.perf_counter())
+        layer_s[layer] += clock[-1] - clock[-2]
+
+    def reference(s0, s1, amp, dwc, r_nodes):
+        """Fold the block's per-step route on the check lanes into check_max."""
+        m, j0, blk = s1 - s0, s0 // decim, np.zeros(6)
+        r_ref = r_hat[:m + 1, :n_check]
+        dynamics._synthesis_steps(r[:m + 1], dwc, amp, efac)
+        photo = dynamics._photocurrent(r[:m], dwc, c, dt, out=raw[:m, :n_check])
+        blk[1] = dynamics._photocurrent_residual(photo, r[:m], dwc, c, dt)
+        idt = np.multiply(photo, dt, out=photo)
+        if retrodict:  # its window sums take r_hat rows until the filter fills them
+            sums = r_ref[1:-(-m // decim) + 1]
+            estimation._window_sums(r_ref[1:], idt, *back, decim)
+            diff = np.abs(rb_dec[j0:j0 + len(sums), :n_check] - sums)
+            blk[4:] = diff.max(initial=0.0), np.abs(sums).max(initial=0.0)
+        estimation._forward_steps(r_ref, idt, amp, efac, c, dt)
+        blk[0] = np.abs(np.subtract(r_ref[1:], r[1:m + 1], out=photo), out=photo).max()
+        ref = r[decim:m + 1:decim]
+        blk[2:4] = np.abs(r_nodes - ref).max(initial=0.0), np.abs(ref).max(initial=0.0)
+        r[0], r_ref[0] = r[m], r_ref[m]
+        np.maximum(check_max, blk, out=check_max)
+
     for s0 in range(0, n, block):
         s1 = min(s0 + block, n)
-        m = s1 - s0
+        m, j0, k = s1 - s0, s0 // decim, (s1 - s0) // decim  # k whole windows
+        c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
         dw = r_hat[1:m + 1]
-        dynamics._draw_increments(gens, dt, dw, buf)
-        dynamics._synthesis_steps(r[:m + 1], dw, amp[s0:s1], efac)
-        photo = dynamics._photocurrent(r[:m], dw, c, dt, out=buf[:m])
-        if n_photo:
-            photo_err = np.maximum(photo_err, dynamics._photocurrent_residual(
-                photo[:, :n_photo], r[:m, :n_photo], dw[:, :n_photo], c, dt))
-        idt = np.multiply(photo, dt, out=photo)
+        dynamics._draw_increments(gens, dt, dw, raw)
+        lap("draws")
+        wins, tmp, u = dw[:k * decim].reshape(k, decim, lanes, 2), raw[:k], nodes[1:k + 1]
+        wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
+        u.fill(0.0)
+        _add_weighted(u, wins, wu, tmp)
+        lap("window_sums")
+        for i in range(k):
+            np.add(np.multiply(nodes[i], efac ** decim, out=tmp[0]), u[i], out=u[i])
+        theta[:, j0 + 1:j0 + k + 1] = (v_nodes[s0 + decim:s1 + 1:decim, None]
+                                       + 0.5 * np.sum(u * u, axis=-1)).T
+        lap("node_recursion")
         if retrodict:
-            estimation._window_sums(rb_dec[s0 // decim:], idt, afac, bcoef, decim)
-        estimation._forward_steps(r_hat[:m + 1], idt, amp[s0:s1], efac, c, dt)
-        diff = np.subtract(r_hat[1:m + 1], r[1:m + 1], out=buf[:m])
-        inv_max = np.maximum(inv_max, np.abs(diff, out=diff).max())
-        # s0 is a whole number of windows: the block's decimated nodes
-        # s0 < k <= s1 are its rows decim, 2 decim, ...
-        rows, out = slice(decim, m + 1, decim), slice(s0 // decim + 1, s1 // decim + 1)
-        r_dec = r[rows]
-        theta[:, out] = (v_nodes[s0 + decim:s1 + 1:decim, None]
-                         + 0.5 * np.sum(r_dec * r_dec, axis=-1)).T
-        if retrodict:
-            kept = rh_dec[out]
-            kept[:] = r_hat[rows][:len(kept)]
-        r[0], r_hat[0] = r[m], r_hat[m]
+            rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
+            # Window sums start from alpha r_j; a short last window has its own weights.
+            _add_weighted(np.multiply(nodes[:k], alpha, out=rb_dec[j0:j0 + k]), wins, ws, tmp)
+            if m > k * decim:
+                _, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
+                _add_weighted(np.multiply(nodes[k:k + 1], alpha, out=rb_dec[j0 + k:j0 + k + 1]),
+                              dw[k * decim:][None], ws, raw[:1])
+            lap("window_sums")
+        if n_check:
+            reference(s0, s1, amp, dw[:, :n_check], nodes[1:k + 1, :n_check])
+            lap("check_lanes")
+        nodes[0] = nodes[k]
     # Free the block buffers, and every view of them, before the results.
-    del buf, r, r_hat, dw, photo, idt, diff, r_dec
+    del raw, r_hat, nodes, r, dw, wins, tmp, u
     d = r_hat = r_b = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
-        estimation._backward_steps(rb_dec, rb_dec[:-1], afac ** decim)
+        estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
         if keep:
             r_hat, r_b = dynamics._swap_pairs(rh_dec), dynamics._swap_pairs(rb_dec)
-        valid = rh_dec[:valid_stop]
-        d = dynamics._swap_pairs(np.subtract(valid, rb_dec[:valid_stop], out=valid))
-    return d, r_hat, r_b, theta, float(inv_max), float(photo_err)
+        # d: the valid rows of rh_dec, in place, seen lane-major.
+        d = np.subtract(rh_dec[:valid_stop], rb_dec[:valid_stop],
+                        out=rh_dec[:valid_stop]).swapaxes(0, 1)
+        lap("backward_steps")
+    return d, r_hat, r_b, theta, check_max, layer_s
 
 
 def _in_order(pool, jobs, depth: int):
@@ -370,12 +418,10 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
               n_kept: int, keep_filtered: bool) -> EnsembleBundle:
     """Run a seeded ensemble chunk by chunk and fold it into an EnsembleBundle.
 
-    The Riccati series is solved once and shared by every chunk. Chunks run
-    here or, for n_workers > 1 (0 = one per available CPU), in a process
-    pool with at most one chunk per worker waiting beyond those running, and
-    are folded in stream-index order as they arrive, then dropped; the
-    bundle keeps the first n_kept theta lanes and, with keep_filtered, every
-    r_hat and r_b lane.
+    The Riccati series is solved once for every chunk. Chunks run here or,
+    for n_workers > 1 (0 = one per available CPU), in a process pool with at
+    most one chunk per worker waiting beyond those running; the bundle keeps
+    the first n_kept theta lanes and, with keep_filtered, every r_hat and r_b.
     """
     if n_traj < 2:
         raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
@@ -385,7 +431,7 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
     jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, valid_stop,
-             keep_filtered, max(min(hi, _PHOTOCURRENT_LANES) - lo, 0))
+             keep_filtered, max(min(hi, _CHECK_LANES) - lo, 0))
             for lo, hi in bounds]
     filtered = (n_traj, grid_out.n_steps + 1, 2)
     bundle = EnsembleBundle(
@@ -525,6 +571,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "photocurrent_identity", ens.photocurrent_residual, 0.0, PHOTOCURRENT_TOL))
         checks["invariants"].append(check_record(
             "filter_inversion_max_abs", ens.inversion_max_abs, 0.0, 1e-9))
+        checks["invariants"].append(check_record(
+            "window_route_max_rel", ens.window_route_max_rel, 0.0, WINDOW_ROUTE_TOL))
 
     rates_d = derive_rates(p)
     ev = v_rec = v_ss_est = rates = None
@@ -574,36 +622,45 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         checks=checks, files=files, wall_time_s=0.0,
     )
 
+    # The products are staged beside out_dir and moved in once all are
+    # written, manifest.json last: a failed emit leaves out_dir as it was.
     with _Stage("emit", stage_s):
-        if "reconstruct" in config.pipelines:
-            files["reconstruction.csv"] = emit_reconstruction(config.out_dir, ev, v_rec)
-            files["variance.csv"] = emit_figure_data(result, "fig1")
-        if "thermo" in config.pipelines:
-            files["entropy_rates.csv"] = emit_figure_data(result, "fig2")
-            files["information.csv"] = emit_figure_data(result, "fig3")
-        checks_path = os.path.join(config.out_dir, "checks.json")
-        write_json(checks_path, checks)
-        files["checks.json"] = checks_path
-
-    result.wall_time_s = time.perf_counter() - t_start
-    from . import __version__  # here, not at the top: the package imports this module
-    manifest = {
-        "config": config.echo(),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "retrodyn": __version__},
-        "wall_time_s": result.wall_time_s,
-        "stage_wall_s": stage_s,
-        "peak_rss_mb": _peak_rss_mb(),
-        "files": sorted(k for k in files),
-    }
-    if ens is not None:
-        manifest["lane_steps_per_s"] = (config.n_traj * config.grid().n_steps
-                                        / stage_s["simulate"])
-    manifest_path = os.path.join(config.out_dir, "manifest.json")
-    with _Stage("emit"):
-        write_json(manifest_path, manifest)
-    files["manifest.json"] = manifest_path
-    result.files = files
+        staging = tempfile.mkdtemp(dir=os.path.dirname(os.path.abspath(config.out_dir)))
+    try:
+        with _Stage("emit", stage_s):
+            staged = replace(result, config=replace(config, out_dir=staging))
+            if "reconstruct" in config.pipelines:
+                emit_reconstruction(staging, ev, v_rec)
+                emit_figure_data(staged, "fig1")
+            if "thermo" in config.pipelines:
+                emit_figure_data(staged, "fig2")
+                emit_figure_data(staged, "fig3")
+            write_json(os.path.join(staging, "checks.json"), checks)
+        result.wall_time_s = time.perf_counter() - t_start
+        from . import __version__  # here, not at the top: the package imports this module
+        manifest = {
+            "config": config.echo(),
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "retrodyn": __version__},
+            "wall_time_s": result.wall_time_s,
+            "stage_wall_s": stage_s,
+            "peak_rss_mb": _peak_rss_mb(),
+            "files": sorted(os.listdir(staging)),
+        }
+        if ens is not None:
+            manifest["lane_steps_per_s"] = (config.n_traj * config.grid().n_steps
+                                            / stage_s["simulate"])
+            manifest["kernel_layer_s"] = ens.layer_s
+        with _Stage("emit"):
+            write_json(os.path.join(staging, "manifest.json"), manifest)
+            files.update((n, os.path.join(config.out_dir, n))
+                         for n in manifest["files"] + ["manifest.json"])
+            for path in filter(os.path.isdir, files.values()):
+                raise IsADirectoryError(f"{path} is a directory")
+            for name, path in files.items():
+                os.replace(os.path.join(staging, name), path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return result
 
 

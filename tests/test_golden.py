@@ -19,15 +19,15 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "0899ed4fbfc82949f841db61ca3c68e59b81800e220be3cc77906274b3309a60",
+        "9b98c02ee2abf48145d58d97719dff851be73da8793423021eb64e158658b5ea",
     "reconstruction.csv":
-        "77ae77e4d6328be6677a7ba3f7cfce6581f7f5ebd1d4276ea1124c835315bead",
+        "e52490da275fd4e9239b2bad67b67902553ccf2d602bc1fa0302d719cb4103eb",
     "entropy_rates.csv":
-        "3bcb9fba1d77ba4e0bd1f92c3b464b6be38f68723998eff9cc5f563b3da352d0",
+        "1c84c93a4354642c57b376e9cf4a36399f4bcfb40b2fd2cf2d24248978b0b607",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "2e0b75c76d6f52833d35d3d0fd212bcc29889340af69ae82cf4c39ec33fd5f3d",
+        "3be9e3fee01ef656a9262bb7b09f0650a24d1020aab7c3c256f835a7f0d00a84",
 }
 
 
