@@ -23,11 +23,16 @@ collect_ensemble, which keeps every lane.
 A chunk runs as one time-major pass over blocks of whole decimation windows,
 laid out (steps, lanes, 2). The prediction filter repeats the synthesis up
 to round-off (r_hat = r), and both are linear in the draws, so every lane
-takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window of D
-steps, one weighted sum of its draws carries the means to the next node and
-another gives the retrodiction window sum. The lanes j < _CHECK_LANES also
-run the per-step route of simulate_batch and both filters as a reference
-(checks.json), which the products do not read.
+takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window j of D
+steps, one weighted sum u_j of its increments carries the means to the next
+node and another, S_j - alpha r_j, completes the retrodiction window sum.
+The lanes j < _CHECK_LANES draw every increment and also run the per-step
+route of simulate_batch and both filters as a reference (checks.json),
+which the products do not read. The other lanes read a window only through
+(u_j, S_j - alpha r_j), a linear map of its 2 D independent N(0, dt)
+increments: exactly normal, independent across windows and components, with
+the 2 x 2 covariance G of _window_factors. So they draw it, four normals
+per window, in the same law.
 """
 
 from __future__ import annotations
@@ -77,8 +82,9 @@ __all__ = [
 #: bytes alone.
 DEFAULT_CHUNK_SIZE = 450
 
-#: Lanes j below this also run the per-step route, whatever chunks hold them:
-#: at the default chunk size, the first chunk.
+#: Lanes j below this draw every step and also run the per-step route,
+#: whatever chunks hold them (at the default chunk size, the first chunk);
+#: the others draw per window.
 _CHECK_LANES = 450
 
 #: Lane-steps per time-major block of the chunk kernel: one block array
@@ -295,12 +301,28 @@ def _add_weighted(acc, wins, w, tmp) -> None:
         np.add(acc, np.multiply(wins[:, m], w[:, m, None, None], out=tmp), out=acc)
 
 
+def _window_factors(wu, ws, dt: float):
+    """Cholesky factors (l11, l21, l22) of G = dt [[sum wu^2, sum wu ws],
+    [sum wu ws, sum ws^2]], per window the covariance of (u, S - alpha r) in
+    each component (_window_weights). The sums run over m as elementwise
+    multiply-adds in order; l21 = 0 where l11 = 0 (eta_det = 0)."""
+    x, y, g = np.stack([wu, wu, ws]), np.stack([wu, ws, ws]), np.zeros((3, len(wu)))
+    for m in range(wu.shape[1]):
+        g += x[:, :, m] * y[:, :, m]
+    g11, g12, g22 = dt * g
+    l11 = np.sqrt(g11)
+    l21 = np.divide(g12, l11, out=np.zeros_like(l11), where=l11 > 0)
+    return l11, l21, np.sqrt(np.maximum(g22 - l21 * l21, 0.0))
+
+
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
     One time-major pass over blocks of whole decimation windows takes the
-    window route (_window_weights) on every lane and, on the first n_check
-    lanes, the per-step route too.
+    window route (_window_weights). The first n_check lanes draw every step
+    and also take the per-step route; each other lane draws (z_u, z_s) per
+    window, x and y of each, for u_j = l11 z_u and S_j = alpha r_j + l21 z_u
+    + l22 z_s (_window_factors): 4 normals per window instead of 2 D.
 
     Returns (d, r_hat, r_b, theta, check_max, layer_s): d = r_hat - r_b on
     the valid nodes, (lanes, valid_stop, 2), r_hat and r_b on every node,
@@ -325,23 +347,36 @@ def _compute_chunk(args):
         rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
     block = min(decim * max(1, _BLOCK_LANE_STEPS // (lanes * decim)), n)
-    # raw: the draws, then window products and the check lanes' i dt; r_hat
-    # rows 1..m: the increments until the check lanes' filter fills them;
-    # nodes: r at the block's nodes, row 0 carried; r: check lanes' means.
-    raw, r_hat = np.empty((block, lanes, 2)), np.zeros((block + 1, lanes, 2))
-    nodes, r = np.zeros((block // decim + 1, lanes, 2)), np.zeros((block + 1, n_check, 2))
+    # Check lanes: raw holds the draws, then window products and i dt; r_hat
+    # rows 1..m the increments until the filter fills them; r the means.
+    # Other lanes: z their unit normals (z_u, z_s) per window, a short last
+    # one too, zraw the draws, then window products. nodes: r at the block's
+    # nodes, row 0 carried.
+    n_windowed, n_z = lanes - n_check, -(-block // decim)
+    raw, r_hat = np.empty((block, n_check, 2)), np.zeros((block + 1, n_check, 2))
+    r, step = np.zeros((block + 1, n_check, 2)), np.empty((lanes, 2))
+    z, zraw = np.empty((n_z, 2, n_windowed, 2)), np.empty(n_z * n_windowed * 4)
+    nodes = np.zeros((block // decim + 1, lanes, 2))
     check_max, layer_s, clock = np.zeros(6), Counter(), [time.perf_counter()]
 
     def lap(layer):
         clock.append(time.perf_counter())
         layer_s[layer] += clock[-1] - clock[-2]
 
+    def window_sums(out, r_j, wins, zw, ws, alpha, l21, l22):
+        """out = alpha r_j + the windows' weighted increments: per step on
+        the check lanes, (alpha r_j + l21 z_u) + l22 z_s on the others."""
+        np.multiply(r_j, alpha, out=out)
+        _add_weighted(out[:, :n_check], wins, ws, raw[:len(out)])
+        _add_weighted(out[:, n_check:], zw, np.stack([l21, l22], axis=1),
+                      zraw[:out[:, n_check:].size].reshape(len(out), n_windowed, 2))
+
     def reference(s0, s1, amp, dwc, r_nodes):
         """Fold the block's per-step route on the check lanes into check_max."""
         m, j0, blk = s1 - s0, s0 // decim, np.zeros(6)
-        r_ref = r_hat[:m + 1, :n_check]
+        r_ref = r_hat[:m + 1]
         dynamics._synthesis_steps(r[:m + 1], dwc, amp, efac)
-        photo = dynamics._photocurrent(r[:m], dwc, c, dt, out=raw[:m, :n_check])
+        photo = dynamics._photocurrent(r[:m], dwc, c, dt, out=raw[:m])
         blk[1] = dynamics._photocurrent_residual(photo, r[:m], dwc, c, dt)
         idt = np.multiply(photo, dt, out=photo)
         if retrodict:  # its window sums take r_hat rows until the filter fills them
@@ -360,34 +395,38 @@ def _compute_chunk(args):
         s1 = min(s0 + block, n)
         m, j0, k = s1 - s0, s0 // decim, (s1 - s0) // decim  # k whole windows
         c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
-        dw = r_hat[1:m + 1]
-        dynamics._draw_increments(gens, dt, dw, raw)
+        dw, zb = r_hat[1:m + 1], z[:-(-m // decim)]
+        dynamics._draw_increments(gens[:n_check], dt, dw, raw)
+        dynamics._draw_increments(gens[n_check:], 1.0,
+                                  zb.reshape(2 * len(zb), n_windowed, 2), zraw)
         lap("draws")
-        wins, tmp, u = dw[:k * decim].reshape(k, decim, lanes, 2), raw[:k], nodes[1:k + 1]
+        wins, u = dw[:k * decim].reshape(k, decim, n_check, 2), nodes[1:k + 1]
         wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
-        u.fill(0.0)
-        _add_weighted(u, wins, wu, tmp)
+        l11, l21, l22 = _window_factors(wu, ws, dt)
+        u[:, :n_check] = 0.0
+        _add_weighted(u[:, :n_check], wins, wu, raw[:k])
+        np.multiply(zb[:k, 0], l11[:, None, None], out=u[:, n_check:])
         lap("window_sums")
         for i in range(k):
-            np.add(np.multiply(nodes[i], efac ** decim, out=tmp[0]), u[i], out=u[i])
+            np.add(np.multiply(nodes[i], efac ** decim, out=step), u[i], out=u[i])
         theta[:, j0 + 1:j0 + k + 1] = (v_nodes[s0 + decim:s1 + 1:decim, None]
                                        + 0.5 * np.sum(u * u, axis=-1)).T
         lap("node_recursion")
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
             # Window sums start from alpha r_j; a short last window has its own weights.
-            _add_weighted(np.multiply(nodes[:k], alpha, out=rb_dec[j0:j0 + k]), wins, ws, tmp)
+            window_sums(rb_dec[j0:j0 + k], nodes[:k], wins, zb[:k], ws, alpha, l21, l22)
             if m > k * decim:
-                _, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
-                _add_weighted(np.multiply(nodes[k:k + 1], alpha, out=rb_dec[j0 + k:j0 + k + 1]),
-                              dw[k * decim:][None], ws, raw[:1])
+                wu, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
+                window_sums(rb_dec[j0 + k:j0 + k + 1], nodes[k:k + 1], dw[k * decim:][None],
+                            zb[k:], ws, alpha, *_window_factors(wu, ws, dt)[1:])
             lap("window_sums")
         if n_check:
-            reference(s0, s1, amp, dw[:, :n_check], nodes[1:k + 1, :n_check])
+            reference(s0, s1, amp, dw, nodes[1:k + 1, :n_check])
             lap("check_lanes")
         nodes[0] = nodes[k]
     # Free the block buffers, and every view of them, before the results.
-    del raw, r_hat, nodes, r, dw, wins, tmp, u
+    del raw, r_hat, r, step, z, zraw, nodes, dw, zb, wins, u
     d = r_hat = r_b = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.

@@ -31,6 +31,21 @@ RUN_DIGESTS = {
 }
 
 
+# Ten lanes past the 450 check lanes, which draw per window, not per step;
+# thermo only at a short horizon, two chunks.
+WINDOW_RUN = dict(n_traj=460, t_final=3e-4, n_workers=1, n_display=3,
+                  pipelines=("thermo",))
+
+WINDOW_RUN_DIGESTS = {
+    "entropy_rates.csv":
+        "28ae16142303a14a40120abb5dbabe2bcefaa1acf18c9df962b7ca547991e9b7",
+    "information.csv":
+        "29773f296fde608bc91f65570332c14f7166056cb83ce9322a9a74a9d22eb05b",
+    "checks.json":
+        "366bf6406ffce94c5d5826a46168ee6a2dc36229a2481d5186d7121730560cd9",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -38,6 +53,12 @@ def _sha256(path) -> str:
 def test_run_products_match_golden_digests(tmp_path):
     run_experiment(default_config(out_dir=str(tmp_path), **GOLDEN_RUN))
     assert {name: _sha256(tmp_path / name) for name in RUN_DIGESTS} == RUN_DIGESTS
+
+
+def test_window_drawn_run_matches_golden_digests(tmp_path):
+    run_experiment(default_config(out_dir=str(tmp_path), **WINDOW_RUN))
+    assert ({name: _sha256(tmp_path / name) for name in WINDOW_RUN_DIGESTS}
+            == WINDOW_RUN_DIGESTS)
 
 
 # every = 7 does not divide 30 000 steps, so that export has no terminal row.

@@ -265,8 +265,9 @@ class TestChunkKernel:
         assert 0 < stop < d.shape[1]
         for lo, hi in [(0, 3), (3, 5)]:
             for keep in (False, True):
+                # n_check = every lane: each draws per step, as simulate_batch.
                 out = pipeline._compute_chunk(
-                    (params, g, v, mids, 21, lo, hi, 7, stop, keep, 0))
+                    (params, g, v, mids, 21, lo, hi, 7, stop, keep, hi - lo))
                 assert _max_rel(out[0], d[lo:hi, :stop]) <= pipeline.WINDOW_ROUTE_TOL
                 if keep:
                     assert _max_rel(out[1], r_hat[lo:hi, ::7]) <= pipeline.WINDOW_ROUTE_TOL
@@ -305,8 +306,9 @@ class TestChunkKernel:
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
         v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
         mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+        # Every lane a check lane, so each draws per step as collect_ensemble's.
         d, r_hat, r_b, theta, _, _ = pipeline._compute_chunk(
-            (params, g, v, mids, 3, 0, 4, 5, None, False, 1))
+            (params, g, v, mids, 3, 0, 4, 5, None, False, 4))
         assert d is None and r_hat is None and r_b is None
         b = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=4)
         assert _bitwise_equal(theta, b.theta)
@@ -361,6 +363,79 @@ class TestWindowRouteRecord:
         assert self._record(params) > pipeline.WINDOW_ROUTE_TOL
 
 
+def _window_law_z(params):
+    """z scores of the window-drawn lanes' (u, S - alpha r) against their
+    covariance G: var u, var (S - alpha r), their covariance and the residual
+    variance of S - alpha r given u, each pooled over lanes, components and
+    windows as a mean of unit-variance terms (standard error sqrt(2 / n))."""
+    # 105 steps: ten full windows and a short one of 5 steps, whose S only
+    # the terminal r_b shows.
+    g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105), 10, 2000
+    v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+    mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+    _, r, r_b, _, _, _ = pipeline._compute_chunk(
+        (params, g, v, mids, 5, 450, 450 + lanes, decim, 1, True, 0))
+    c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
+    afac, bcoef = estimation._backward_coefficients(params, g.dt)
+    full = pipeline._window_weights(amp[:100].reshape(10, decim), efac, c * g.dt, afac, bcoef)
+    short = pipeline._window_weights(amp[100:][None], efac, c * g.dt, afac, bcoef)
+    g11, g12, g22 = (np.concatenate([g.dt * np.sum(w[i] * w[j], axis=1) for w in (full, short)])
+                     for i, j in ((0, 0), (0, 1), (1, 1)))
+    alpha = np.array([full[2]] * 10 + [short[2]])[:, None]
+    u = r[:, 1:] - efac ** decim * r[:, :-1]
+    s = np.concatenate([r_b[:, :-1] - afac ** decim * r_b[:, 1:], r_b[:, -1:]], axis=1)
+    s = s - alpha * r  # (lanes, windows, 2); window 10 has no u
+    a, b = u / np.sqrt(g11[:10, None]), s / np.sqrt(g22[:, None])
+    rho = g12 / np.sqrt(g11 * g22)
+    e = (s[:, :10] - (g12 / g11)[:10, None] * u) / np.sqrt(g22 - g12 ** 2 / g11)[:10, None]
+    terms = (a * a - 1.0, b * b - 1.0, a * b[:, :10] - rho[:10, None], e * e - 1.0)
+    return [float(np.mean(t) / np.sqrt(2.0 / t.size)) for t in terms]
+
+
+#: Bound on each |z| of _window_law_z: about 6e-7 false alarms each.
+LAW_Z = 5.0
+
+
+def _mutated_factors(monkeypatch, which):
+    """Patch pipeline._window_factors to zero its factor number which."""
+    real = pipeline._window_factors
+
+    def zeroed(*args):
+        out = list(real(*args))
+        out[which] = 0.0 * out[which]
+        return tuple(out)
+
+    monkeypatch.setattr(pipeline, "_window_factors", zeroed)
+
+
+class TestWindowDrawnLanes:
+    """Lanes j >= _CHECK_LANES draw (u, S - alpha r) per window, in law."""
+
+    def test_law_matches_the_window_covariance(self, params):
+        z = _window_law_z(params)
+        assert max(map(abs, z)) <= LAW_Z, z
+
+    @pytest.mark.parametrize("which", [1, 2], ids=["l21", "l22"])
+    def test_law_fails_without_a_factor(self, params, monkeypatch, which):
+        _mutated_factors(monkeypatch, which)
+        assert max(map(abs, _window_law_z(params))) > LAW_Z
+
+    def test_bytes_do_not_depend_on_the_check_boundary(self, tmp_path, monkeypatch):
+        # Lanes 0-4 draw per step, 5-11 per window: chunks of 4 and 12
+        # straddle the boundary, chunks of 5 end on it.
+        def products(name, **kw):
+            run_experiment(small_config(tmp_path / name, n_traj=12, **kw))
+            return _read_products(tmp_path / name)
+
+        every_lane_checked = products("all", chunk_size=12)
+        monkeypatch.setattr(pipeline, "_CHECK_LANES", 5)
+        ref = products("c12w1", chunk_size=12)
+        for chunk_size, n_workers in ((4, 1), (5, 1), (4, 2), (5, 2), (12, 2)):
+            assert products(f"c{chunk_size}w{n_workers}", chunk_size=chunk_size,
+                            n_workers=n_workers) == ref, (chunk_size, n_workers)
+        assert ref["entropy_rates.csv"] != every_lane_checked["entropy_rates.csv"]
+
+
 class TestUnmonitored:
     """eta_det = 0: the thermo pipeline runs with unconditional dynamics."""
 
@@ -388,6 +463,25 @@ class TestUnmonitored:
         np.testing.assert_allclose(rates.phi_c, -rates.pi_c, rtol=1e-12)
         assert np.all(rates.g_diff == 0.0)
         assert np.max(np.abs(rates.i_dot)) <= 1e-12 * abs(pi_uc)
+
+    def test_window_drawn_lanes_keep_theta_at_v(self, tmp_path, monkeypatch):
+        # No measurement: every factor is 0 (l21 too, where l11 = 0), so u = 0.
+        p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2005)
+        v = dynamics.solve_conditional_variance(p, g, rd.derive_rates(p).v_uc)
+        mids = dynamics.conditional_variance_midpoints(p, v, g.dt)
+        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None, False, 0))[3]
+        assert _bitwise_equal(theta, np.broadcast_to(v[::10], theta.shape))
+        monkeypatch.setattr(pipeline, "_CHECK_LANES", 0)
+        cfg = _write_cfg(tmp_path / "eta0.cfg", (
+            "gamma_m_hz = 19\nn_th = 14\ngamma_qba_hz = 360\neta_det = 0\n"
+            "n_traj = 8\nt_final = 2e-4\nn_workers = 1\n"))
+        assert cli.main(["thermo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        checks = json.loads((tmp_path / "o" / "checks.json").read_text(encoding="utf-8"))
+        for rec in checks["invariants"]:
+            assert rec["pass"] and math.isfinite(rec["value"]), rec
+        rates = np.loadtxt(tmp_path / "o" / "entropy_rates.csv", delimiter=",", skiprows=1)
+        assert not np.isnan(rates).any()
 
     def test_cli_thermo_exits_0(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "eta0.cfg", (
