@@ -255,7 +255,8 @@ def _draw_increments(gens, dt: float, out, raw) -> None:
     lanes = raw.reshape(-1)[:out.size].reshape(len(gens), len(out), 2)
     for j, gen in enumerate(gens):
         gen.standard_normal(out=lanes[j])
-    lanes *= math.sqrt(dt)
+    if dt != 1.0:  # unit normals need no scaling pass
+        lanes *= math.sqrt(dt)
     _swap_pairs(lanes, out)
 
 

@@ -301,15 +301,18 @@ class _LaneMoments:
 
     def fold(self, lanes) -> None:
         """Fold lanes[0], lanes[1], ... (the leading axis) in order."""
-        for x in np.asarray(lanes):
+        lanes = np.asarray(lanes)
+        y, delta, step = np.empty((3,) + lanes.shape[1:])
+        for x in lanes:
             if self.shift is None:
                 self.shift = x.copy()
                 self.shifted_mean, self.m2 = np.zeros_like(x), np.zeros_like(x)
             self.count += 1
-            y = x - self.shift
-            delta = y - self.shifted_mean
-            self.shifted_mean += delta / self.count
-            self.m2 += delta * (y - self.shifted_mean)
+            np.subtract(x, self.shift, out=y)
+            np.subtract(y, self.shifted_mean, out=delta)
+            self.shifted_mean += np.divide(delta, self.count, out=step)
+            # m2 += delta (y - mean), y's row reused for the product.
+            self.m2 += np.multiply(delta, np.subtract(y, self.shifted_mean, out=y), out=y)
 
     def mean(self) -> np.ndarray:
         """Sample mean, the shift added back."""

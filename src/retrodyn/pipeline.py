@@ -87,9 +87,11 @@ DEFAULT_CHUNK_SIZE = 450
 #: the others draw per window.
 _CHECK_LANES = 450
 
-#: Lane-steps per time-major block of the chunk kernel: one block array
-#: stays at about 3.6 MB whatever the chunk width. Rounded to whole
-#: decimation windows, blocks leave the bytes alone.
+#: (x, y) pairs per buffer of a time-major block of the chunk kernel: per
+#: decimation window of D steps a check lane holds D pairs of draws in each
+#: per-step buffer, a window-drawn lane 2 pairs of normals. One buffer stays
+#: at about 3.6 MB whatever the chunk holds. Rounded to whole decimation
+#: windows, blocks leave the bytes alone.
 _BLOCK_LANE_STEPS = 225_000
 
 #: Bound on window_route_max_rel, the two routes' difference: round-off.
@@ -241,7 +243,8 @@ class EnsembleBundle:
     (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj, n_out
     + 1, 2), in collect_ensemble only, and are None otherwise. grid_out is
     the decimated grid; v_out the Riccati solution on it. The check values
-    come from _compute_chunk; layer_s sums its seconds per kernel layer.
+    come from _compute_chunk; layer_s sums its seconds per kernel layer and
+    those of the fold ("fold").
     """
 
     grid_out: TimeGrid
@@ -263,6 +266,7 @@ class EnsembleBundle:
         check_max = np.zeros(6)
         for lo, hi in bounds:
             d, r_hat, r_b, theta, chunk_max, layer_s = next(results)
+            t0 = time.perf_counter()
             if d is not None:
                 self.d_moments.fold(d)
             if r_hat is not None:
@@ -272,6 +276,7 @@ class EnsembleBundle:
             self.theta[lo:lo + k] = theta[:k]
             np.maximum(check_max, chunk_max, out=check_max)
             self.layer_s.update(layer_s)
+            self.layer_s["fold"] += time.perf_counter() - t0
             # Drop the chunk's lanes before the next chunk is computed.
             del d, r_hat, r_b, theta
         self.inversion_max_abs, self.photocurrent_residual = map(float, check_max[:2])
@@ -335,6 +340,12 @@ def _compute_chunk(args):
     """
     (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep,
      n_check) = args
+    layer_s, clock = Counter(), [time.perf_counter()]
+
+    def lap(layer):
+        clock.append(time.perf_counter())
+        layer_s[layer] += clock[-1] - clock[-2]
+
     n, dt, lanes = grid.n_steps, grid.dt, hi - lo
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
     n_nodes = n // decim + 1
@@ -346,22 +357,20 @@ def _compute_chunk(args):
     if retrodict:
         rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
-    block = min(decim * max(1, _BLOCK_LANE_STEPS // (lanes * decim)), n)
+    n_windowed = lanes - n_check
+    block = min(decim * max(1, _BLOCK_LANE_STEPS // (n_check * decim + 2 * n_windowed)), n)
     # Check lanes: raw holds the draws, then window products and i dt; r_hat
     # rows 1..m the increments until the filter fills them; r the means.
     # Other lanes: z their unit normals (z_u, z_s) per window, a short last
     # one too, zraw the draws, then window products. nodes: r at the block's
     # nodes, row 0 carried.
-    n_windowed, n_z = lanes - n_check, -(-block // decim)
+    n_z = -(-block // decim)
     raw, r_hat = np.empty((block, n_check, 2)), np.zeros((block + 1, n_check, 2))
     r, step = np.zeros((block + 1, n_check, 2)), np.empty((lanes, 2))
     z, zraw = np.empty((n_z, 2, n_windowed, 2)), np.empty(n_z * n_windowed * 4)
     nodes = np.zeros((block // decim + 1, lanes, 2))
-    check_max, layer_s, clock = np.zeros(6), Counter(), [time.perf_counter()]
-
-    def lap(layer):
-        clock.append(time.perf_counter())
-        layer_s[layer] += clock[-1] - clock[-2]
+    check_max = np.zeros(6)
+    lap("chunk_setup")
 
     def window_sums(out, r_j, wins, zw, ws, alpha, l21, l22):
         """out = alpha r_j + the windows' weighted increments: per step on
@@ -374,18 +383,23 @@ def _compute_chunk(args):
     def reference(s0, s1, amp, dwc, r_nodes):
         """Fold the block's per-step route on the check lanes into check_max."""
         m, j0, blk = s1 - s0, s0 // decim, np.zeros(6)
-        r_ref = r_hat[:m + 1]
+        r_ref, idt = r_hat[:m + 1], raw[:m]
         dynamics._synthesis_steps(r[:m + 1], dwc, amp, efac)
-        photo = dynamics._photocurrent(r[:m], dwc, c, dt, out=raw[:m])
-        blk[1] = dynamics._photocurrent_residual(photo, r[:m], dwc, c, dt)
-        idt = np.multiply(photo, dt, out=photo)
+        # By eighths, i dt and max |i dt - c r dt - dw| in one pass.
+        for rs, w, out in zip(*(np.array_split(x, 8) for x in (r[:m], dwc, idt))):
+            np.multiply(dynamics._photocurrent(rs, w, c, dt, out=out), dt, out=out)
+            rec = np.multiply(c, rs)
+            np.multiply(rec, dt, out=rec)
+            np.abs(np.subtract(np.subtract(out, rec, out=rec), w, out=rec), out=rec)
+            blk[1] = np.maximum(blk[1], rec.max(initial=0.0))
+        blk[1] /= math.sqrt(dt)
         if retrodict:  # its window sums take r_hat rows until the filter fills them
             sums = r_ref[1:-(-m // decim) + 1]
             estimation._window_sums(r_ref[1:], idt, *back, decim)
-            diff = np.abs(rb_dec[j0:j0 + len(sums), :n_check] - sums)
-            blk[4:] = diff.max(initial=0.0), np.abs(sums).max(initial=0.0)
+            blk[4:] = (np.abs(rb_dec[j0:j0 + len(sums), :n_check] - sums).max(initial=0.0),
+                       np.abs(sums).max(initial=0.0))
         estimation._forward_steps(r_ref, idt, amp, efac, c, dt)
-        blk[0] = np.abs(np.subtract(r_ref[1:], r[1:m + 1], out=photo), out=photo).max()
+        blk[0] = np.abs(np.subtract(r_ref[1:], r[1:m + 1], out=idt), out=idt).max()
         ref = r[decim:m + 1:decim]
         blk[2:4] = np.abs(r_nodes - ref).max(initial=0.0), np.abs(ref).max(initial=0.0)
         r[0], r_ref[0] = r[m], r_ref[m]
@@ -407,10 +421,12 @@ def _compute_chunk(args):
         _add_weighted(u[:, :n_check], wins, wu, raw[:k])
         np.multiply(zb[:k, 0], l11[:, None, None], out=u[:, n_check:])
         lap("window_sums")
+        e_win = efac ** decim
         for i in range(k):
-            np.add(np.multiply(nodes[i], efac ** decim, out=step), u[i], out=u[i])
-        theta[:, j0 + 1:j0 + k + 1] = (v_nodes[s0 + decim:s1 + 1:decim, None]
-                                       + 0.5 * np.sum(u * u, axis=-1)).T
+            np.add(np.multiply(nodes[i], e_win, out=step), u[i], out=u[i])
+        # theta = V + (u_x^2 + u_y^2) / 2: the sum np.sum(u * u, axis=-1) forms.
+        theta[:, j0 + 1:j0 + k + 1] = (v_nodes[s0 + decim:s1 + 1:decim]
+                                       + 0.5 * np.add(*(u * u).T))
         lap("node_recursion")
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
@@ -433,9 +449,9 @@ def _compute_chunk(args):
         estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
         if keep:
             r_hat, r_b = dynamics._swap_pairs(rh_dec), dynamics._swap_pairs(rb_dec)
-        # d: the valid rows of rh_dec, in place, seen lane-major.
-        d = np.subtract(rh_dec[:valid_stop], rb_dec[:valid_stop],
-                        out=rh_dec[:valid_stop]).swapaxes(0, 1)
+        # d, lane-major in the valid rows of rh_dec: the fold reads it row by row.
+        diff = np.subtract(rh_dec[:valid_stop], rb_dec[:valid_stop], out=rb_dec[:valid_stop])
+        d = dynamics._swap_pairs(diff, rh_dec[:valid_stop].reshape(lanes, valid_stop, 2))
         lap("backward_steps")
     return d, r_hat, r_b, theta, check_max, layer_s
 

@@ -200,7 +200,8 @@ def _filtered_path(b) -> rd.FilteredPath:
     return rd.FilteredPath(b.grid_out, b.r_hat, b.r_b, (0, b.valid_stop))
 
 
-#: Steps per kernel block at 2 lanes under the small_blocks fixture.
+#: Steps per kernel block at 2 check lanes and decimation 10 under the
+#: small_blocks fixture; 2 window-drawn lanes get blocks 5 times as long.
 BLOCK = 1000
 
 
@@ -288,6 +289,23 @@ class TestChunkKernel:
         finally:
             tracemalloc.stop()
         assert peak < full_res
+
+    def test_chunk_memory_grows_with_the_nodes_not_the_steps(self, params):
+        # At decimation 20 the decimated lanes (the bundle's and the chunk's)
+        # add about 0.27 of one 30 000-step full-resolution array when the
+        # record doubles; one array with a row per step would add a whole one.
+        full_res = 30001 * 60 * 2 * np.dtype(float).itemsize
+
+        def peak(n_steps):
+            g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=n_steps)
+            tracemalloc.start()
+            try:
+                collect_ensemble(params, g, 60, 21, decimation=20, chunk_size=60)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(60000) - peak(30000) < full_res / 2
 
     def test_one_riccati_solve_per_ensemble(self, params, monkeypatch):
         calls = []
@@ -434,6 +452,67 @@ class TestWindowDrawnLanes:
             assert products(f"c{chunk_size}w{n_workers}", chunk_size=chunk_size,
                             n_workers=n_workers) == ref, (chunk_size, n_workers)
         assert ref["entropy_rates.csv"] != every_lane_checked["entropy_rates.csv"]
+
+    def test_block_lengths_leave_a_straddling_chunk_alone(self, params, monkeypatch):
+        # Lanes 0-2 draw per step, 3-7 per window; decimation 7 leaves a
+        # 5-step last window of 1503 steps. At 2100 pairs per block buffer,
+        # a block of the whole chunk holds 67 windows (3 * 7 + 5 * 2 pairs
+        # each), one of its check lanes alone 100 and one of its window-drawn
+        # lanes alone 210, each with a ragged last block.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=1503)
+        v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+        mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+        stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
+        lengths, coefficients = [], dynamics._mean_coefficients
+
+        def per_block(p, dt, v_mids):  # called once per block, on its midpoints
+            lengths.append(len(v_mids))
+            return coefficients(p, dt, v_mids)
+
+        def chunk(lo, hi):
+            lengths.clear()
+            d, _, _, theta, check_max, _ = pipeline._compute_chunk(
+                (params, g, v, mids, 21, lo, hi, 7, stop, False, max(3 - lo, 0)))
+            return (d, theta, check_max), list(lengths)
+
+        monkeypatch.setattr(dynamics, "_mean_coefficients", per_block)
+        runs = []
+        for pairs in (10**6, 2100, 40):
+            monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", pairs)
+            runs.append(chunk(0, 8))
+        (ref, whole), (mid, mixed), (tiny, single) = runs
+        assert whole == [1503] and mixed == [469] * 3 + [96] and single == [7] * 214 + [5]
+        for out in (mid, tiny):
+            assert all(map(_bitwise_equal, out, ref))
+        monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", 2100)
+        (checked, c_len), (drawn, w_len) = chunk(0, 3), chunk(3, 8)
+        assert c_len == [700, 700, 103] and w_len == [1470, 33]
+        assert _bitwise_equal(np.concatenate([checked[0], drawn[0]]), ref[0])
+        assert _bitwise_equal(np.concatenate([checked[1], drawn[1]]), ref[1])
+        assert _bitwise_equal(np.maximum(checked[2], drawn[2]), ref[2])
+
+    def test_reference_width_chunks_draw_a_thousand_normals_per_call(self, params,
+                                                                    monkeypatch):
+        # 450 lanes at decimation 10, as in the reference run: check lanes
+        # draw 500 steps x 2 normals per call, the others 250 windows x 4.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=5000)
+        v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+        mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+        sizes, rng = [], dynamics.trajectory_rng
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, out):
+                sizes.append(out.size)
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(dynamics, "trajectory_rng", lambda *a: Counted(rng(*a)))
+        for n_check in (450, 0):
+            sizes.clear()
+            pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None, False, n_check))
+            assert set(sizes) == {1000}, n_check
 
 
 class TestUnmonitored:
@@ -620,8 +699,8 @@ class TestRunDeterminism:
 
         digests, manifest = run("timed")
         layers = manifest["kernel_layer_s"]
-        assert set(layers) == {"draws", "window_sums", "node_recursion", "check_lanes",
-                               "backward_steps"}
+        assert set(layers) == {"chunk_setup", "draws", "window_sums", "node_recursion",
+                               "check_lanes", "backward_steps", "fold"}
         assert all(s > 0.0 for s in layers.values())
         assert sum(layers.values()) < manifest["stage_wall_s"]["simulate"]
         # A clock that jumps on every read moves the timings, not the bytes.
