@@ -32,8 +32,8 @@ same loop on Python floats instead (_one_lane_blocks), which performs the
 same IEEE operations without numpy's per-call cost on a 2-element row. The
 step helpers (_draw_increments, _synthesis_steps, _photocurrent) are the one
 implementation of the synthesis; simulate_batch runs them over the whole
-grid and returns lane-major arrays, and the ensemble kernel in
-retrodyn.pipeline runs them block by block.
+grid and returns lane-major arrays, and the route check of an ensemble in
+retrodyn.pipeline runs them on its trajectory 0.
 """
 
 from __future__ import annotations
@@ -307,18 +307,9 @@ def _synthesis_steps(r, dw, amp, efac: float) -> None:
     """Euler-Maruyama means over a time-major block, in place.
 
     r has one row more than dw; r[0] holds the starting means and row k + 1
-    receives r[k] efac + amp[k] dw[k]. A row holds every lane: amp dw is
-    formed in r[1:] once per block, and each step adds r[k] efac to its row
-    in place, two ufunc calls on the whole batch. One lane runs on Python
-    floats (_one_lane_blocks).
+    receives r[k] efac + amp[k] dw[k]. A row holds every lane; one lane runs
+    on Python floats (_one_lane_blocks).
     """
-    if r[0].size != 2:
-        np.multiply(amp[:, None, None], dw, out=r[1:])
-        s = np.empty_like(r[0])
-        for cur, nxt in zip(r, r[1:]):
-            np.multiply(cur, efac, out=s)
-            np.add(s, nxt, out=nxt)
-        return
     for rows, dws, amps in _one_lane_blocks(r, dw, amp):
         cur = rows[0]
         for k, (a, d) in enumerate(zip(amps, dws), 1):
@@ -326,11 +317,9 @@ def _synthesis_steps(r, dw, amp, efac: float) -> None:
             rows[k] = cur
 
 
-def _photocurrent(r_start, dw, c: float, dt: float, out=None):
-    """Homodyne record (c r dt + dw) / dt of the steps starting at r_start,
-    into out if given."""
-    out = np.multiply(np.multiply(c, r_start, out=out), dt, out=out)
-    return np.divide(np.add(out, dw, out=out), dt, out=out)
+def _photocurrent(r_start, dw, c: float, dt: float):
+    """Homodyne record (c r dt + dw) / dt of the steps starting at r_start."""
+    return (c * r_start * dt + dw) / dt
 
 
 def _recovered_increments(photo, r_start, c: float, dt: float):

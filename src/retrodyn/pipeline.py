@@ -26,13 +26,13 @@ to round-off (r_hat = r), and both are linear in the draws, so every lane
 takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window j of D
 steps, one weighted sum u_j of its increments carries the means to the next
 node and another, S_j - alpha r_j, completes the retrodiction window sum.
-The lanes j < _CHECK_LANES draw every increment and also run the per-step
-route of simulate_batch and both filters as a reference (checks.json),
-which the products do not read. The other lanes read a window only through
-(u_j, S_j - alpha r_j), a linear map of its 2 D independent N(0, dt)
-increments: exactly normal, independent across windows and components, with
-the 2 x 2 covariance G of _window_factors. So they draw it, four normals
-per window, in the same law.
+A lane reads a window only through (u_j, S_j - alpha r_j), a linear map of
+its 2 D independent N(0, dt) increments: exactly normal, independent across
+windows and components, with the 2 x 2 covariance G of _window_factors. So
+every lane draws it, four normals per window, in the same law. _route_check
+runs trajectory 0 once per step through the step helpers of simulate_batch
+and both filters and checks both routes on it (checks.json); the products
+do not read it.
 """
 
 from __future__ import annotations
@@ -82,19 +82,14 @@ __all__ = [
 #: bytes alone.
 DEFAULT_CHUNK_SIZE = 450
 
-#: Lanes j below this draw every step and also run the per-step route,
-#: whatever chunks hold them (at the default chunk size, the first chunk);
-#: the others draw per window.
-_CHECK_LANES = 450
-
-#: (x, y) pairs per buffer of a time-major block of the chunk kernel: per
-#: decimation window of D steps a check lane holds D pairs of draws in each
-#: per-step buffer, a window-drawn lane 2 pairs of normals. One buffer stays
-#: at about 3.6 MB whatever the chunk holds. Rounded to whole decimation
-#: windows, blocks leave the bytes alone.
+#: (x, y) pairs per buffer of a time-major block of the chunk kernel, which
+#: holds 2 pairs of normals per lane and decimation window: about 3.6 MB
+#: whatever the chunk holds. Rounded to whole decimation windows, blocks
+#: leave the bytes alone.
 _BLOCK_LANE_STEPS = 225_000
 
-#: Bound on window_route_max_rel, the two routes' difference: round-off.
+#: Bound on window_route_max_rel, the two routes' difference on trajectory
+#: 0 (_route_check): round-off.
 WINDOW_ROUTE_TOL = 1e-12
 
 DEFAULT_N_TRAJ = 3600
@@ -235,7 +230,7 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 @dataclass
 class EnsembleBundle:
     """What an ensemble run keeps: per-node lane moments, its first lanes
-    and the kernel's check values.
+    and the route check values.
 
     d_moments holds the moments of r_hat - r_b on the valid window (nodes
     0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
@@ -243,8 +238,8 @@ class EnsembleBundle:
     (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj, n_out
     + 1, 2), in collect_ensemble only, and are None otherwise. grid_out is
     the decimated grid; v_out the Riccati solution on it. The check values
-    come from _compute_chunk; layer_s sums its seconds per kernel layer and
-    those of the fold ("fold").
+    come from _route_check; layer_s sums the seconds per kernel layer of
+    _compute_chunk, those of the fold ("fold") and of the route check.
     """
 
     grid_out: TimeGrid
@@ -263,9 +258,8 @@ class EnsembleBundle:
     def _fold(self, bounds, results) -> None:
         """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
         each (lo, hi) in bounds, in that order, lane by lane."""
-        check_max = np.zeros(6)
         for lo, hi in bounds:
-            d, r_hat, r_b, theta, chunk_max, layer_s = next(results)
+            d, r_hat, r_b, theta, layer_s = next(results)
             t0 = time.perf_counter()
             if d is not None:
                 self.d_moments.fold(d)
@@ -274,14 +268,10 @@ class EnsembleBundle:
             self.theta_moments.fold(theta)
             k = max(min(hi, len(self.theta)) - lo, 0)
             self.theta[lo:lo + k] = theta[:k]
-            np.maximum(check_max, chunk_max, out=check_max)
             self.layer_s.update(layer_s)
             self.layer_s["fold"] += time.perf_counter() - t0
             # Drop the chunk's lanes before the next chunk is computed.
             del d, r_hat, r_b, theta
-        self.inversion_max_abs, self.photocurrent_residual = map(float, check_max[:2])
-        dev, ref = check_max[2::2], check_max[3::2]
-        self.window_route_max_rel = float(np.max(dev / np.where(ref > 0, ref, 1.0)))
 
 
 def _window_weights(amp_w, efac: float, cdt: float, afac: float, bcoef: float):
@@ -324,22 +314,17 @@ def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
     One time-major pass over blocks of whole decimation windows takes the
-    window route (_window_weights). The first n_check lanes draw every step
-    and also take the per-step route; each other lane draws (z_u, z_s) per
-    window, x and y of each, for u_j = l11 z_u and S_j = alpha r_j + l21 z_u
-    + l22 z_s (_window_factors): 4 normals per window instead of 2 D.
+    window route (_window_weights): each lane draws (z_u, z_s) per window, x
+    and y of each, for u_j = l11 z_u and S_j = alpha r_j + l21 z_u + l22 z_s
+    (_window_factors), 4 normals per window instead of 2 D.
 
-    Returns (d, r_hat, r_b, theta, check_max, layer_s): d = r_hat - r_b on
-    the valid nodes, (lanes, valid_stop, 2), r_hat and r_b on every node,
-    theta (lanes, nodes); d, r_hat and r_b are None without retrodiction
-    (valid_stop None), r_hat and r_b also without keep. check_max: max
-    |r_hat - r| and max |i dt - c r dt - dw| / sqrt(dt) of the per-step
-    route, then max |difference| and max |value| of the two routes' node
-    means and of their window sums. layer_s: seconds per kernel layer.
-    Results depend only on args, never on which worker runs them.
+    Returns (d, r_hat, r_b, theta, layer_s): d = r_hat - r_b on the valid
+    nodes, (lanes, valid_stop, 2), r_hat and r_b on every node, theta
+    (lanes, nodes); d, r_hat and r_b are None without retrodiction
+    (valid_stop None), r_hat and r_b also without keep. layer_s: seconds per
+    kernel layer. Results depend only on args, not on the worker.
     """
-    (p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep,
-     n_check) = args
+    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep = args
     layer_s, clock = Counter(), [time.perf_counter()]
 
     def lap(layer):
@@ -357,69 +342,30 @@ def _compute_chunk(args):
     if retrodict:
         rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
-    n_windowed = lanes - n_check
-    block = min(decim * max(1, _BLOCK_LANE_STEPS // (n_check * decim + 2 * n_windowed)), n)
-    # Check lanes: raw holds the draws, then window products and i dt; r_hat
-    # rows 1..m the increments until the filter fills them; r the means.
-    # Other lanes: z their unit normals (z_u, z_s) per window, a short last
-    # one too, zraw the draws, then window products. nodes: r at the block's
-    # nodes, row 0 carried.
+    block = min(decim * max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n)
+    # z: unit normals (z_u, z_s) per window, a short last one too; zraw the
+    # draws, then window products. nodes: r at the block's nodes, row 0 carried.
     n_z = -(-block // decim)
-    raw, r_hat = np.empty((block, n_check, 2)), np.zeros((block + 1, n_check, 2))
-    r, step = np.zeros((block + 1, n_check, 2)), np.empty((lanes, 2))
-    z, zraw = np.empty((n_z, 2, n_windowed, 2)), np.empty(n_z * n_windowed * 4)
+    z, zraw, step = np.empty((n_z, 2, lanes, 2)), np.empty(n_z * lanes * 4), np.empty((lanes, 2))
     nodes = np.zeros((block // decim + 1, lanes, 2))
-    check_max = np.zeros(6)
     lap("chunk_setup")
 
-    def window_sums(out, r_j, wins, zw, ws, alpha, l21, l22):
-        """out = alpha r_j + the windows' weighted increments: per step on
-        the check lanes, (alpha r_j + l21 z_u) + l22 z_s on the others."""
+    def window_sums(out, r_j, zw, alpha, l21, l22):
+        """out = (alpha r_j + l21 z_u) + l22 z_s over the windows of zw."""
         np.multiply(r_j, alpha, out=out)
-        _add_weighted(out[:, :n_check], wins, ws, raw[:len(out)])
-        _add_weighted(out[:, n_check:], zw, np.stack([l21, l22], axis=1),
-                      zraw[:out[:, n_check:].size].reshape(len(out), n_windowed, 2))
-
-    def reference(s0, s1, amp, dwc, r_nodes):
-        """Fold the block's per-step route on the check lanes into check_max."""
-        m, j0, blk = s1 - s0, s0 // decim, np.zeros(6)
-        r_ref, idt = r_hat[:m + 1], raw[:m]
-        dynamics._synthesis_steps(r[:m + 1], dwc, amp, efac)
-        # By eighths, i dt and max |i dt - c r dt - dw| in one pass.
-        for rs, w, out in zip(*(np.array_split(x, 8) for x in (r[:m], dwc, idt))):
-            np.multiply(dynamics._photocurrent(rs, w, c, dt, out=out), dt, out=out)
-            rec = np.multiply(c, rs)
-            np.multiply(rec, dt, out=rec)
-            np.abs(np.subtract(np.subtract(out, rec, out=rec), w, out=rec), out=rec)
-            blk[1] = np.maximum(blk[1], rec.max(initial=0.0))
-        blk[1] /= math.sqrt(dt)
-        if retrodict:  # its window sums take r_hat rows until the filter fills them
-            sums = r_ref[1:-(-m // decim) + 1]
-            estimation._window_sums(r_ref[1:], idt, *back, decim)
-            blk[4:] = (np.abs(rb_dec[j0:j0 + len(sums), :n_check] - sums).max(initial=0.0),
-                       np.abs(sums).max(initial=0.0))
-        estimation._forward_steps(r_ref, idt, amp, efac, c, dt)
-        blk[0] = np.abs(np.subtract(r_ref[1:], r[1:m + 1], out=idt), out=idt).max()
-        ref = r[decim:m + 1:decim]
-        blk[2:4] = np.abs(r_nodes - ref).max(initial=0.0), np.abs(ref).max(initial=0.0)
-        r[0], r_ref[0] = r[m], r_ref[m]
-        np.maximum(check_max, blk, out=check_max)
+        _add_weighted(out, zw, np.stack([l21, l22], axis=1), zraw[:out.size].reshape(out.shape))
 
     for s0 in range(0, n, block):
         s1 = min(s0 + block, n)
         m, j0, k = s1 - s0, s0 // decim, (s1 - s0) // decim  # k whole windows
         c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
-        dw, zb = r_hat[1:m + 1], z[:-(-m // decim)]
-        dynamics._draw_increments(gens[:n_check], dt, dw, raw)
-        dynamics._draw_increments(gens[n_check:], 1.0,
-                                  zb.reshape(2 * len(zb), n_windowed, 2), zraw)
+        zb = z[:-(-m // decim)]
+        dynamics._draw_increments(gens, 1.0, zb.reshape(2 * len(zb), lanes, 2), zraw)
         lap("draws")
-        wins, u = dw[:k * decim].reshape(k, decim, n_check, 2), nodes[1:k + 1]
+        u = nodes[1:k + 1]
         wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
         l11, l21, l22 = _window_factors(wu, ws, dt)
-        u[:, :n_check] = 0.0
-        _add_weighted(u[:, :n_check], wins, wu, raw[:k])
-        np.multiply(zb[:k, 0], l11[:, None, None], out=u[:, n_check:])
+        np.multiply(zb[:k, 0], l11[:, None, None], out=u)
         lap("window_sums")
         e_win = efac ** decim
         for i in range(k):
@@ -431,18 +377,15 @@ def _compute_chunk(args):
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
             # Window sums start from alpha r_j; a short last window has its own weights.
-            window_sums(rb_dec[j0:j0 + k], nodes[:k], wins, zb[:k], ws, alpha, l21, l22)
+            window_sums(rb_dec[j0:j0 + k], nodes[:k], zb[:k], alpha, l21, l22)
             if m > k * decim:
                 wu, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
-                window_sums(rb_dec[j0 + k:j0 + k + 1], nodes[k:k + 1], dw[k * decim:][None],
-                            zb[k:], ws, alpha, *_window_factors(wu, ws, dt)[1:])
+                window_sums(rb_dec[j0 + k:j0 + k + 1], nodes[k:k + 1], zb[k:], alpha,
+                            *_window_factors(wu, ws, dt)[1:])
             lap("window_sums")
-        if n_check:
-            reference(s0, s1, amp, dw, nodes[1:k + 1, :n_check])
-            lap("check_lanes")
         nodes[0] = nodes[k]
     # Free the block buffers, and every view of them, before the results.
-    del raw, r_hat, r, step, z, zraw, nodes, dw, zb, wins, u
+    del z, zraw, step, nodes, zb, u
     d = r_hat = r_b = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
@@ -453,7 +396,52 @@ def _compute_chunk(args):
         diff = np.subtract(rh_dec[:valid_stop], rb_dec[:valid_stop], out=rb_dec[:valid_stop])
         d = dynamics._swap_pairs(diff, rh_dec[:valid_stop].reshape(lanes, valid_stop, 2))
         lap("backward_steps")
-    return d, r_hat, r_b, theta, check_max, layer_s
+    return d, r_hat, r_b, theta, layer_s
+
+
+def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim: int,
+                 retrodict: bool):
+    """(photocurrent residual, filter inversion max, window route max rel):
+    the route checks of an ensemble, on trajectory 0 drawn per step.
+
+    The step helpers of simulate_trajectory and filter_record run it on the
+    midpoint variances v_mids, on Python floats; the window route forms its
+    node means and window sums from the same increments, and the third value
+    is the larger max |difference| / max |per-step value| of the two. No
+    value depends on n_traj, chunking or worker count.
+    """
+    n, dt, k = grid.n_steps, grid.dt, grid.n_steps // decim  # k whole windows
+    c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
+    dw, gen = np.empty((n, 1, 2)), dynamics.trajectory_rng(master_seed, 0)
+    dynamics._draw_increments([gen], dt, dw, np.empty_like(dw))
+    r, r_hat = np.zeros((2, n + 1, 1, 2))
+    dynamics._synthesis_steps(r, dw, amp, efac)
+    photo = dynamics._photocurrent(r[:-1], dw, c, dt)
+    residual = dynamics._photocurrent_residual(photo, r[:-1], dw, c, dt)
+    idt = photo * dt
+    estimation._forward_steps(r_hat, idt, amp, efac, c, dt)
+    # The window route: u_j per window, then the node recursion.
+    back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
+    wins = dw[:k * decim].reshape(k, decim, 1, 2)
+    wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
+    nodes, tmp, e_win = np.zeros((k + 1, 1, 2)), np.empty((k, 1, 2)), efac ** decim
+    _add_weighted(nodes[1:], wins, wu, tmp)
+    for i in range(k):
+        nodes[i + 1] += nodes[i] * e_win
+    pairs = [(nodes[1:], r[decim::decim])]
+    if retrodict:
+        ref, sums = np.zeros((2, k + (n > k * decim), 1, 2))
+        estimation._window_sums(ref, idt, *back, decim)
+        np.multiply(nodes[:k], alpha, out=sums[:k])
+        _add_weighted(sums[:k], wins, ws, tmp)
+        if n > k * decim:  # the short last window, with its own weights
+            _, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
+            np.multiply(nodes[k:], alpha, out=sums[k:])
+            _add_weighted(sums[k:], dw[k * decim:][None], ws, tmp[:1])
+        pairs.append((sums, ref))
+    rel = [np.abs(a - b).max(initial=0.0) / (np.abs(b).max(initial=0.0) or 1.0)
+           for a, b in pairs]
+    return residual, float(np.max(np.abs(r_hat - r))), float(max(rel))
 
 
 def _in_order(pool, jobs, depth: int):
@@ -486,14 +474,17 @@ def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
     jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, valid_stop,
-             keep_filtered, max(min(hi, _CHECK_LANES) - lo, 0))
-            for lo, hi in bounds]
+             keep_filtered) for lo, hi in bounds]
     filtered = (n_traj, grid_out.n_steps + 1, 2)
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
         r_hat=np.empty(filtered) if keep_filtered else None,
         r_b=np.empty(filtered) if keep_filtered else None,
         theta=np.empty((n_kept, grid_out.n_steps + 1)))
+    t0 = time.perf_counter()
+    checks = _route_check(p, grid, v_mids, master_seed, decimation, retrodict)
+    bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
+    bundle.layer_s["route_check"] = time.perf_counter() - t0
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)

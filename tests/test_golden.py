@@ -19,30 +19,29 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "9b98c02ee2abf48145d58d97719dff851be73da8793423021eb64e158658b5ea",
+        "5424ea7ec1b62b274402606cfbb65aa9fb907096b6897d72b0a9c27fc3904558",
     "reconstruction.csv":
-        "e52490da275fd4e9239b2bad67b67902553ccf2d602bc1fa0302d719cb4103eb",
+        "5df6bfea6b918380b98b4b61fa7f6a2b59e008f16a31c4b079aea2fe2898dd3b",
     "entropy_rates.csv":
-        "1c84c93a4354642c57b376e9cf4a36399f4bcfb40b2fd2cf2d24248978b0b607",
+        "8730b3def903a14f92a5edf8f299597d2147a1b264fc4cb23d64f316308af7a6",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "3be9e3fee01ef656a9262bb7b09f0650a24d1020aab7c3c256f835a7f0d00a84",
+        "c9b7a10c07d766da50bb44952d5a78b79714bc20277f7d23f584ca1243b0165a",
 }
 
 
-# Ten lanes past the 450 check lanes, which draw per window, not per step;
-# thermo only at a short horizon, two chunks.
+# Thermo only at a short horizon, two chunks, the second of ten lanes.
 WINDOW_RUN = dict(n_traj=460, t_final=3e-4, n_workers=1, n_display=3,
                   pipelines=("thermo",))
 
 WINDOW_RUN_DIGESTS = {
     "entropy_rates.csv":
-        "28ae16142303a14a40120abb5dbabe2bcefaa1acf18c9df962b7ca547991e9b7",
+        "250d037a50bc8ec55429b92c5e5aff17499960dadbb6964ae922b243ca952dde",
     "information.csv":
         "29773f296fde608bc91f65570332c14f7166056cb83ce9322a9a74a9d22eb05b",
     "checks.json":
-        "366bf6406ffce94c5d5826a46168ee6a2dc36229a2481d5186d7121730560cd9",
+        "c7ed39488249d964a44bc7db4c77db1b1dd07bc974a7981d981a1df78564812d",
 }
 
 
