@@ -12,13 +12,12 @@ run_experiment turns a configuration into the figure-ready data products:
 Everything but manifest.json (timings, peak RSS, versions) is a pure
 function of the configuration, whatever the worker count and chunk size:
 trajectories are keyed (master_seed, stream = trajectory index), and
-_ensemble folds each chunk's lanes, in stream-index order, into the per-node
-running moments (Welford's update) of one EnsembleBundle, then drops the
-chunk, so memory does not grow with the ensemble. Only r_hat - r_b and theta
-= V + r.r/2 are folded: the entropy rates, affine in theta, come from its
-moments and the display paths from its kept lanes, bit for bit as
-difference_variance and ensemble_average_rates give them on
-collect_ensemble, which keeps every lane.
+collect_ensemble folds each chunk's lanes, in stream-index order, into the
+per-node running moments (Welford's update) of one EnsembleBundle, then drops
+the chunk, so memory does not grow with the ensemble. Only r_hat - r_b and
+theta = V + r.r/2 are folded: the entropy rates, affine in theta, come from
+its moments and the display paths from its first lanes, bit for bit as
+difference_variance and ensemble_average_rates give them on the same lanes.
 
 A chunk runs as one time-major pass over blocks of whole decimation windows,
 laid out (steps, lanes, 2). The prediction filter repeats the synthesis up
@@ -162,9 +161,15 @@ class ExperimentConfig:
                 f"choose from {', '.join(_PIPELINE_NAMES)}"
             )
         object.__setattr__(self, "pipelines", tuple(self.pipelines))
-        if self.n_traj < 2 and {"reconstruct", "thermo"} & set(self.pipelines):
-            raise ConfigError(f"an ensemble needs n_traj >= 2, got {self.n_traj!r}")
-        check_grid(self.params, self.grid())
+        grid = self.grid()
+        if {"reconstruct", "thermo"} & set(self.pipelines):
+            if self.n_traj < 2:
+                raise ConfigError(f"an ensemble needs n_traj >= 2, got {self.n_traj!r}")
+            if grid.n_steps < self.decimation:
+                raise ConfigError(
+                    f"an ensemble needs one decimation window of {self.decimation} "
+                    f"steps, but t_final = {self.t_final!r} spans {grid.n_steps}")
+        check_grid(self.params, grid)
 
     def grid(self) -> TimeGrid:
         n_steps = int(round(self.t_final / self.dt))
@@ -234,10 +239,9 @@ class EnsembleBundle:
 
     d_moments holds the moments of r_hat - r_b on the valid window (nodes
     0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
-    those of theta = V + r.r/2. theta keeps its first n_kept lanes, shape
-    (n_kept, n_out + 1); r_hat and r_b keep every lane, shape (n_traj, n_out
-    + 1, 2), in collect_ensemble only, and are None otherwise. grid_out is
-    the decimated grid; v_out the Riccati solution on it. The check values
+    those of theta = V + r.r/2. theta keeps the first n_kept = min(n_display,
+    n_traj) lanes, shape (n_kept, n_out + 1); no other lane is kept. grid_out
+    is the decimated grid; v_out the Riccati solution on it. The check values
     come from _route_check; layer_s sums the seconds per kernel layer of
     _compute_chunk, those of the fold ("fold") and of the route check.
     """
@@ -245,8 +249,6 @@ class EnsembleBundle:
     grid_out: TimeGrid
     v_out: np.ndarray
     valid_stop: int | None
-    r_hat: np.ndarray | None
-    r_b: np.ndarray | None
     theta: np.ndarray
     d_moments: _LaneMoments = field(default_factory=_LaneMoments)
     theta_moments: _LaneMoments = field(default_factory=_LaneMoments)
@@ -259,19 +261,17 @@ class EnsembleBundle:
         """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
         each (lo, hi) in bounds, in that order, lane by lane."""
         for lo, hi in bounds:
-            d, r_hat, r_b, theta, layer_s = next(results)
+            d, theta, layer_s = next(results)
             t0 = time.perf_counter()
             if d is not None:
                 self.d_moments.fold(d)
-            if r_hat is not None:
-                self.r_hat[lo:hi], self.r_b[lo:hi] = r_hat, r_b
             self.theta_moments.fold(theta)
             k = max(min(hi, len(self.theta)) - lo, 0)
             self.theta[lo:lo + k] = theta[:k]
             self.layer_s.update(layer_s)
             self.layer_s["fold"] += time.perf_counter() - t0
             # Drop the chunk's lanes before the next chunk is computed.
-            del d, r_hat, r_b, theta
+            del d, theta
 
 
 def _window_weights(amp_w, efac: float, cdt: float, afac: float, bcoef: float):
@@ -318,13 +318,12 @@ def _compute_chunk(args):
     and y of each, for u_j = l11 z_u and S_j = alpha r_j + l21 z_u + l22 z_s
     (_window_factors), 4 normals per window instead of 2 D.
 
-    Returns (d, r_hat, r_b, theta, layer_s): d = r_hat - r_b on the valid
-    nodes, (lanes, valid_stop, 2), r_hat and r_b on every node, theta
-    (lanes, nodes); d, r_hat and r_b are None without retrodiction
-    (valid_stop None), r_hat and r_b also without keep. layer_s: seconds per
-    kernel layer. Results depend only on args, not on the worker.
+    Returns (d, theta, layer_s): d = r_hat - r_b on the valid nodes, (lanes,
+    valid_stop, 2), or None without retrodiction (valid_stop None); theta
+    (lanes, nodes); layer_s, seconds per kernel layer. Results depend only
+    on args, not on the worker.
     """
-    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, keep = args
+    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop = args
     layer_s, clock = Counter(), [time.perf_counter()]
 
     def lap(layer):
@@ -340,7 +339,7 @@ def _compute_chunk(args):
     # afac, bcoef; without retrodiction, zeros weight the unused window sums.
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     if retrodict:
-        rh_dec = np.zeros((n_nodes if keep else valid_stop, lanes, 2))
+        rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
         rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
     block = min(decim * max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n)
     # z: unit normals (z_u, z_s) per window, a short last one too; zraw the
@@ -386,17 +385,15 @@ def _compute_chunk(args):
         nodes[0] = nodes[k]
     # Free the block buffers, and every view of them, before the results.
     del z, zraw, step, nodes, zb, u
-    d = r_hat = r_b = None
+    d = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
-        if keep:
-            r_hat, r_b = dynamics._swap_pairs(rh_dec), dynamics._swap_pairs(rb_dec)
-        # d, lane-major in the valid rows of rh_dec: the fold reads it row by row.
-        diff = np.subtract(rh_dec[:valid_stop], rb_dec[:valid_stop], out=rb_dec[:valid_stop])
-        d = dynamics._swap_pairs(diff, rh_dec[:valid_stop].reshape(lanes, valid_stop, 2))
+        # d, lane-major in rh_dec's buffer: the fold reads it row by row.
+        diff = np.subtract(rh_dec, rb_dec[:valid_stop], out=rb_dec[:valid_stop])
+        d = dynamics._swap_pairs(diff, rh_dec.reshape(lanes, valid_stop, 2))
         lap("backward_steps")
-    return d, r_hat, r_b, theta, layer_s
+    return d, theta, layer_s
 
 
 def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim: int,
@@ -456,35 +453,38 @@ def _in_order(pool, jobs, depth: int):
         yield pending.popleft().result()
 
 
-def _ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
-              decimation: int, chunk_size: int, n_workers: int, retrodict: bool,
-              n_kept: int, keep_filtered: bool) -> EnsembleBundle:
-    """Run a seeded ensemble chunk by chunk and fold it into an EnsembleBundle.
+def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
+    """Run the configured seeded ensemble chunk by chunk and fold it into an
+    EnsembleBundle.
 
-    The Riccati series is solved once for every chunk. Chunks run here or,
-    for n_workers > 1 (0 = one per available CPU), in a process pool with at
-    most one chunk per worker waiting beyond those running; the bundle keeps
-    the first n_kept theta lanes and, with keep_filtered, every r_hat and r_b.
+    Trajectory j uses stream index j under master_seed, so any sub-ensemble
+    is bit-reproducible in isolation, and no bit depends on chunk_size or
+    n_workers. The Riccati series is solved once for every chunk. Chunks run
+    here or, for n_workers > 1 (0 = one per available CPU), in a process
+    pool with at most one chunk per worker waiting beyond those running.
+    The backward filter runs only when "reconstruct" is configured; then
+    the measurement-off limit eta_det = 0 raises RegimeError.
     """
+    p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
         raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
+    retrodict = "reconstruct" in config.pipelines
     v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
-    bounds = [(lo, min(lo + chunk_size, n_traj)) for lo in range(0, n_traj, chunk_size)]
+    bounds = [(lo, min(lo + config.chunk_size, n_traj))
+              for lo in range(0, n_traj, config.chunk_size)]
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
-    jobs = [(p, grid, v_nodes, v_mids, master_seed, lo, hi, decimation, valid_stop,
-             keep_filtered) for lo, hi in bounds]
-    filtered = (n_traj, grid_out.n_steps + 1, 2)
+    jobs = [(p, grid, v_nodes, v_mids, config.master_seed, lo, hi, decimation, valid_stop)
+            for lo, hi in bounds]
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
-        r_hat=np.empty(filtered) if keep_filtered else None,
-        r_b=np.empty(filtered) if keep_filtered else None,
-        theta=np.empty((n_kept, grid_out.n_steps + 1)))
+        theta=np.empty((min(config.n_display, n_traj), grid_out.n_steps + 1)))
     t0 = time.perf_counter()
-    checks = _route_check(p, grid, v_mids, master_seed, decimation, retrodict)
+    checks = _route_check(p, grid, v_mids, config.master_seed, decimation, retrodict)
     bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
     bundle.layer_s["route_check"] = time.perf_counter() - t0
+    n_workers = config.n_workers
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
@@ -522,21 +522,6 @@ def _check_reconstruct_window(config: ExperimentConfig) -> None:
             f"no valid window is left after the backward burn-in: {n_valid} of "
             f"{grid_out.n_steps + 1} output nodes; the reconstruction needs 2, "
             "so extend t_final")
-
-
-def collect_ensemble(p: PhysParams, grid: TimeGrid, n_traj: int, master_seed: int,
-                     decimation: int = DEFAULT_DECIMATION,
-                     chunk_size: int = DEFAULT_CHUNK_SIZE) -> EnsembleBundle:
-    """Run the seeded ensemble in this process and keep every lane.
-
-    Trajectory j uses stream index j under master_seed, so any sub-ensemble
-    is bit-reproducible in isolation, and the result does not depend on
-    chunk_size. The backward filter always runs, so the measurement-off
-    limit eta_det = 0 raises RegimeError here (run_experiment's thermo
-    pipeline covers it).
-    """
-    return _ensemble(p, grid, n_traj, master_seed, decimation, chunk_size,
-                     n_workers=1, retrodict=True, n_kept=n_traj, keep_filtered=True)
 
 
 @dataclass
@@ -603,16 +588,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     files: dict = {}
     checks: dict = {"fullmodel": [], "invariants": []}
 
-    need_ensemble = ("reconstruct" in config.pipelines
-                     or "thermo" in config.pipelines)
     ens = None
-    if need_ensemble:
+    if {"reconstruct", "thermo"} & set(config.pipelines):
         with _Stage("simulate", stage_s):
-            ens = _ensemble(p, config.grid(), config.n_traj, config.master_seed,
-                            config.decimation, config.chunk_size, config.n_workers,
-                            retrodict="reconstruct" in config.pipelines,
-                            n_kept=min(config.n_display, config.n_traj),
-                            keep_filtered=False)
+            ens = collect_ensemble(config)
         checks["invariants"].append(check_record(
             "photocurrent_identity", ens.photocurrent_residual, 0.0, PHOTOCURRENT_TOL))
         checks["invariants"].append(check_record(

@@ -102,8 +102,9 @@ def test_criterion_4_retrodiction_pipeline(ensemble, ensemble_variance,
 
 def test_criterion_5_theta_conservation(ensemble, rates):
     with criterion(5, "ensemble mean of theta stays at v_uc") as rep:
-        mean = ensemble.theta.mean(axis=0)
-        se = ensemble.theta.std(axis=0, ddof=1) / math.sqrt(N_TRAJ)
+        assert ensemble.theta_moments.count == N_TRAJ
+        mean = ensemble.theta_moments.mean()
+        se = np.sqrt(ensemble.theta_moments.variance()) / math.sqrt(N_TRAJ)
         # every lane starts identical, so node 0 is a float identity: both
         # the mean deviation and the stderr are pure summation round-off
         t0_dev = abs(float(mean[0]) - rates.v_uc)

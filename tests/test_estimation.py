@@ -1,8 +1,8 @@
 """Prediction/retrodiction filters and the variance reconstruction.
 
 Structural tests run on tiny synthetic inputs; statistical tests share the
-session ensemble (N = 3600, fixed master seed) so every bound is
-deterministic. Node 0 is excluded from z-statistics wherever the forward
+session ensemble's moments (N = 3600) and its filtered lanes (N = 400), each
+with a fixed seed, so every bound is deterministic. Node 0 is excluded from z-statistics wherever the forward
 estimate is pinned at zero on every lane (no ensemble scatter there); the
 t = 0 statement is then a float identity, not a statistical one.
 """
@@ -313,36 +313,37 @@ class TestEnsembleStatistics:
         ok = np.abs(ensemble_variance.v_d - pred) <= 3.0 * ensemble_variance.stderr
         assert ok.mean() >= 0.99
 
-    def test_forward_moment_tracks_variance_deficit(self, ensemble, rates):
+    def test_forward_moment_tracks_variance_deficit(self, filtered_lanes, rates):
         # E[r_hat^2] = V_uc - V(t); node 0 is exact (every lane starts at 0)
-        assert not np.any(ensemble.r_hat[:, 0, :])
-        assert ensemble.v_out[0] == rates.v_uc
-        sq = ensemble.r_hat[:, 1:, :] ** 2
+        lanes = filtered_lanes
+        assert not np.any(lanes.r_hat[:, 0, :])
+        assert lanes.v[0] == rates.v_uc
+        sq = lanes.r_hat[:, 1:, :] ** 2
         n = sq.shape[0]
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / math.sqrt(n)
-        target = (rates.v_uc - ensemble.v_out[1:])[:, None]
+        target = (rates.v_uc - lanes.v[1:])[:, None]
         assert np.max(np.abs(mean - target) / se) < 3.0
 
-    def test_retrodicted_second_moment(self, ensemble, rates):
+    def test_retrodicted_second_moment(self, filtered_lanes, rates):
         # E[r_b^2] = V_E + V_uc on the valid window
-        stop = ensemble.valid_stop
-        sq = ensemble.r_b[:, 1:stop, :] ** 2
+        stop = filtered_lanes.stop
+        sq = filtered_lanes.r_b[:, 1:stop, :] ** 2
         n = sq.shape[0]
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.max(np.abs(mean - (rates.v_e + rates.v_uc)) / se) < 3.0
 
-    def test_cross_covariance(self, ensemble, rates):
+    def test_cross_covariance(self, filtered_lanes, rates):
         # E[r_hat . r_b] = V_uc - V(t): correlation of the two estimates
         # carries exactly the information the record has accumulated
-        stop = ensemble.valid_stop
-        prod = ensemble.r_hat[:, :stop, :] * ensemble.r_b[:, :stop, :]
+        lanes, stop = filtered_lanes, filtered_lanes.stop
+        prod = lanes.r_hat[:, :stop, :] * lanes.r_b[:, :stop, :]
         assert not np.any(prod[:, 0, :])  # r_hat(0) = 0 pins the product
         n = prod.shape[0]
         mean = prod[:, 1:, :].mean(axis=0)
         se = prod[:, 1:, :].std(axis=0, ddof=1) / math.sqrt(n)
-        target = (rates.v_uc - ensemble.v_out[1:stop])[:, None]
+        target = (rates.v_uc - lanes.v[1:stop])[:, None]
         assert np.max(np.abs(mean - target) / se) < 3.0
 
     def test_reconstruction_tracks_riccati(self, ensemble, ensemble_variance,

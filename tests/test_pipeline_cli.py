@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import types
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ class TestConfig:
             with pytest.raises(rd.ConfigError, match="n_traj >= 2"):
                 rd.ExperimentConfig(params=params, n_traj=1, pipelines=pipelines)
         rd.ExperimentConfig(params=params, n_traj=1, pipelines=("fullmodel",))
+        # 5 steps: no whole decimation window, so no output node past t = 0.
+        for pipelines in (("reconstruct",), ("thermo", "fullmodel")):
+            with pytest.raises(rd.ConfigError, match="one decimation window of 10 steps"):
+                rd.ExperimentConfig(params=params, t_final=5e-7, pipelines=pipelines)
+        rd.ExperimentConfig(params=params, t_final=5e-7, pipelines=("fullmodel",))
 
     def test_short_horizon_reconstruction_fails_before_the_run(self, params, tmp_path):
         # 1e-4 s is far inside the 1.9 ms backward burn-in: no valid window.
@@ -149,42 +155,68 @@ class TestConfig:
         assert echo["gamma_m"] == cfg.params.gamma_m
 
 
+def _config(params, g, n_traj, master_seed, **overrides) -> rd.ExperimentConfig:
+    """The configuration of an ensemble of n_traj lanes on grid g, on one worker."""
+    kw = dict(dt=g.dt, t_final=g.n_steps * g.dt, n_traj=n_traj, master_seed=master_seed,
+              n_workers=1)
+    kw.update(overrides)
+    cfg = rd.ExperimentConfig(params=params, **kw)
+    assert cfg.grid() == g
+    return cfg
+
+
+def _collect(params, g, n_traj, master_seed, **overrides) -> rd.EnsembleBundle:
+    return collect_ensemble(_config(params, g, n_traj, master_seed, **overrides))
+
+
 class TestEnsembleBundle:
-    def test_needs_two_trajectories(self, params, grid):
+    def test_needs_two_trajectories(self, params):
+        # Only a configuration without an ensemble pipeline admits one lane.
+        cfg = rd.ExperimentConfig(params=params, n_traj=1, pipelines=("fullmodel",))
         with pytest.raises(rd.ValidationError, match="n_traj"):
-            collect_ensemble(params, grid, 1, 5)
+            collect_ensemble(cfg)
 
     def test_shapes_and_valid_stop(self, params):
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=2000)
-        b = collect_ensemble(params, g, 6, 11, decimation=10, chunk_size=4)
-        n_out = 200
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12000)
+        b = _collect(params, g, 6, 11, decimation=10, chunk_size=4)
+        n_out = 1200
         assert b.grid_out.n_steps == n_out and b.grid_out.dt == 2e-6
-        assert b.r_hat.shape == b.r_b.shape == (6, n_out + 1, 2)
+        # n_display = 10 keeps every one of the 6 theta lanes.
         assert b.theta.shape == (6, n_out + 1)
         assert b.v_out.shape == (n_out + 1,)
         lam = rd.derive_rates(params).lambda_b
         burn = math.ceil(10.0 / (lam * 2e-6))
-        assert b.valid_stop == max(n_out + 1 - burn, 0)
+        assert b.valid_stop == max(n_out + 1 - burn, 0) > 0
+        assert b.d_moments.count == b.theta_moments.count == 6
+        assert b.d_moments.mean().shape == (b.valid_stop, 2)
+        assert b.theta_moments.mean().shape == (n_out + 1,)
         assert b.inversion_max_abs < 1e-9
         assert b.photocurrent_residual <= PHOTOCURRENT_TOL
 
     def test_chunking_does_not_change_bytes(self, params):
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        one = collect_ensemble(params, g, 9, 3, decimation=5, chunk_size=9)
-        many = collect_ensemble(params, g, 9, 3, decimation=5, chunk_size=2)
-        np.testing.assert_array_equal(one.r_hat, many.r_hat)
-        np.testing.assert_array_equal(one.r_b, many.r_b)
-        np.testing.assert_array_equal(one.theta, many.theta)
+        # Decimation 7 does not divide 12003 steps; three display lanes end
+        # inside the second chunk of two.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
+        one, many = (_collect(params, g, 5, 3, decimation=7, chunk_size=size, n_display=3)
+                     for size in (5, 2))
+        assert one.valid_stop > 0
+        for name in ("d_moments", "theta_moments"):
+            a, b = getattr(one, name), getattr(many, name)
+            assert a.count == b.count == 5
+            assert _bitwise_equal(a.mean(), b.mean()) and _bitwise_equal(a.m2, b.m2), name
+        assert _bitwise_equal(one.theta, many.theta)
 
     def test_moments_equal_public_reductions(self, params):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=10000)
-        b = collect_ensemble(params, g, 7, 3, decimation=10, chunk_size=3)
-        ev = rd.difference_variance([_filtered_path(b)])
+        cfg = _config(params, g, 7, 3, decimation=10, chunk_size=3)
+        b = collect_ensemble(cfg)
+        d, theta = _chunk_lanes(cfg)
+        ev = rd.difference_variance([_difference_path(b.grid_out, d)])
         own = estimation._pooled_difference_variance(
             b.d_moments.variance(), b.d_moments.count, b.grid_out, 0)
         assert own.grid == ev.grid and own.n_samples == ev.n_samples
         assert _bitwise_equal(own.v_d, ev.v_d) and _bitwise_equal(own.stderr, ev.stderr)
-        rates = rd.ensemble_average_rates(b.theta, b.v_out, b.grid_out, params)
+        rates = rd.ensemble_average_rates(theta, b.v_out, b.grid_out, params)
         own = thermo._ensemble_rates(b.theta_moments, b.v_out, b.grid_out, params)
         assert own.n_samples == rates.n_samples == 7
         for name in ("phi_c", "pi_c", "i_dot", "g_diff", "stderr_phi_c", "stderr_pi_c"):
@@ -195,9 +227,11 @@ def _bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _filtered_path(b) -> rd.FilteredPath:
-    """Every lane of a collect_ensemble bundle, for difference_variance."""
-    return rd.FilteredPath(b.grid_out, b.r_hat, b.r_b, (0, b.valid_stop))
+def _difference_path(grid_out, d) -> rd.FilteredPath:
+    """Lanes of d = r_hat - r_b on the valid nodes of grid_out as r_hat = d
+    and r_b = 0, for difference_variance."""
+    valid = rd.TimeGrid(t0=grid_out.t0, dt=grid_out.dt, n_steps=d.shape[1] - 1)
+    return rd.FilteredPath(valid, d, np.zeros_like(d), (0, d.shape[1]))
 
 
 #: Steps per kernel block at 2 lanes and decimation 10 under the
@@ -218,6 +252,16 @@ def _chunk_inputs(params, g):
     return v, dynamics.conditional_variance_midpoints(params, v, g.dt)
 
 
+def _chunk_lanes(cfg):
+    """(d, theta) of every lane of cfg's ensemble, from _compute_chunk as one
+    chunk; d is None unless cfg retrodicts."""
+    g, p = cfg.grid(), cfg.params
+    stop = (estimation._valid_stop(p, pipeline._decimated(g, cfg.decimation))
+            if "reconstruct" in cfg.pipelines else None)
+    return pipeline._compute_chunk((p, g, *_chunk_inputs(p, g), cfg.master_seed, 0,
+                                    cfg.n_traj, cfg.decimation, stop))[:2]
+
+
 class TestChunkKernel:
     """The window-route chunk kernel and the route check of trajectory 0."""
 
@@ -230,8 +274,7 @@ class TestChunkKernel:
     def test_matches_public_lane_path(self, params, small_blocks, n_steps, decimation,
                                       n_traj, chunk_size):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=n_steps)
-        b = collect_ensemble(params, g, n_traj, 21, decimation=decimation,
-                             chunk_size=chunk_size)
+        b = _collect(params, g, n_traj, 21, decimation=decimation, chunk_size=chunk_size)
         # The route check runs trajectory 0 per step as the public path does.
         traj = rd.simulate_trajectory(params, g, rd.derive_rates(params).v_uc, 21, 0)
         r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
@@ -241,53 +284,53 @@ class TestChunkKernel:
         # The window route agrees with it to round-off.
         assert 0.0 < b.window_route_max_rel <= pipeline.WINDOW_ROUTE_TOL
 
-    def test_d_is_the_public_difference_on_the_valid_nodes(self, params, small_blocks):
+    def test_d_lanes_are_the_same_in_any_chunk(self, params, small_blocks):
         # Blocks of 462 steps (3 lanes), 700 steps (2 lanes) and 280 steps (5
         # lanes) leave a ragged last one; chunks of 3 do not divide 5 lanes;
         # decimation 7 does not divide 12003 steps.
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
         v, mids = _chunk_inputs(params, g)
-        stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
-        whole = pipeline._compute_chunk((params, g, v, mids, 21, 0, 5, 7, stop, True))
-        d, r_hat, r_b = whole[:3]
-        assert 0 < stop < r_hat.shape[1]
-        # d is the difference difference_variance forms on the kept lanes.
-        assert _bitwise_equal(d, r_hat[:, :stop] - r_b[:, :stop])
+        n_nodes, stop = 12003 // 7 + 1, estimation._valid_stop(params, pipeline._decimated(g, 7))
+
+        def chunk(lo, hi, valid_stop):
+            return pipeline._compute_chunk((params, g, v, mids, 21, lo, hi, 7, valid_stop))
+
+        d, theta, _ = chunk(0, 5, stop)
+        assert 0 < stop < n_nodes and d.shape == (5, stop, 2)
+        # The valid window cuts the d of every node, bit for bit.
+        every = chunk(0, 5, n_nodes)
+        assert _bitwise_equal(every[0][:, :stop], d) and _bitwise_equal(every[1], theta)
         for lo, hi in [(0, 3), (3, 5)]:
-            for keep in (False, True):
-                out = pipeline._compute_chunk((params, g, v, mids, 21, lo, hi, 7, stop, keep))
-                assert _bitwise_equal(out[0], d[lo:hi])
-                if keep:
-                    assert _bitwise_equal(out[1], r_hat[lo:hi])
-                    assert _bitwise_equal(out[2], r_b[lo:hi])
-                else:
-                    assert out[1] is None and out[2] is None
+            out = chunk(lo, hi, stop)
+            assert _bitwise_equal(out[0], d[lo:hi]) and _bitwise_equal(out[1], theta[lo:hi])
 
     def test_chunk_holds_no_full_resolution_array(self, params):
         # A chunk keeps one retrodiction window sum per output node. One
         # array with a row per step would be full_res on its own; the peak
-        # also holds the stacked bundle (7 MB) and the chunk's result.
+        # also holds the chunk's result and the moments it is folded into.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
         full_res = (g.n_steps + 1) * 60 * 2 * np.dtype(float).itemsize
+        cfg = _config(params, g, 60, 21, decimation=10, chunk_size=60)
         tracemalloc.start()
         try:
-            collect_ensemble(params, g, 60, 21, decimation=10, chunk_size=60)
+            collect_ensemble(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < full_res
 
     def test_chunk_memory_grows_with_the_nodes_not_the_steps(self, params):
-        # At decimation 20 the decimated lanes (the bundle's and the chunk's)
-        # add about 0.27 of one 30 000-step full-resolution array when the
+        # At decimation 20 the chunk's decimated lanes and the moments add
+        # about a quarter of one 30 000-step full-resolution array when the
         # record doubles; one array with a row per step would add a whole one.
         full_res = 30001 * 60 * 2 * np.dtype(float).itemsize
 
         def peak(n_steps):
-            g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=n_steps)
+            cfg = _config(params, rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=n_steps), 60, 21,
+                          decimation=20, chunk_size=60)
             tracemalloc.start()
             try:
-                collect_ensemble(params, g, 60, 21, decimation=20, chunk_size=60)
+                collect_ensemble(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -304,23 +347,26 @@ class TestChunkKernel:
 
         monkeypatch.setattr(dynamics, "solve_conditional_variance", counting)
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        collect_ensemble(params, g, 7, 3, decimation=5, chunk_size=2)
+        _collect(params, g, 7, 3, decimation=5, chunk_size=2)
         assert len(calls) == 1
 
     def test_thermo_only_chunk_keeps_no_filtered_lanes(self, params):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
-        v, mids = _chunk_inputs(params, g)
-        d, r_hat, r_b, theta, _ = pipeline._compute_chunk(
-            (params, g, v, mids, 3, 0, 4, 5, None, False))
-        assert d is None and r_hat is None and r_b is None
-        b = collect_ensemble(params, g, 4, 3, decimation=5, chunk_size=4)
-        assert _bitwise_equal(theta, b.theta)
+        cfg = _config(params, g, 4, 3, decimation=5, chunk_size=4, n_display=4,
+                      pipelines=("thermo",))
+        d, theta = _chunk_lanes(cfg)
+        assert d is None
+        b = collect_ensemble(cfg)
+        assert b.valid_stop is None and b.d_moments.count == 0
+        # Retrodiction leaves theta alone.
+        both = collect_ensemble(replace(cfg, pipelines=("reconstruct", "thermo")))
+        assert _bitwise_equal(theta, b.theta) and _bitwise_equal(theta, both.theta)
 
     def test_measurement_off_raises_regime_error(self, params):
         p = rd.PhysParams(**{**vars(params), "eta_det": 0.0})
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=500)
         with pytest.raises(rd.RegimeError):
-            collect_ensemble(p, g, 4, 3, decimation=5)
+            _collect(p, g, 4, 3, decimation=5)
 
 
 def _mutated_weights(monkeypatch, mutate):
@@ -337,8 +383,8 @@ class TestWindowRouteRecord:
     GRID = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=1503)
 
     def _record(self, params):
-        return collect_ensemble(params, self.GRID, 3, 21, decimation=7,
-                                chunk_size=2).window_route_max_rel
+        return _collect(params, self.GRID, 3, 21, decimation=7,
+                        chunk_size=2).window_route_max_rel
 
     def test_intact_route_passes(self, params):
         assert 0.0 < self._record(params) <= pipeline.WINDOW_ROUTE_TOL
@@ -375,8 +421,14 @@ def _window_law_z(params):
     # the terminal r_b shows.
     g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105), 10, 2000
     v, mids = _chunk_inputs(params, g)
-    _, r, r_b, _, _ = pipeline._compute_chunk(
-        (params, g, v, mids, 5, 0, lanes, decim, 1, True))
+    job = (params, g, v, mids, 5, 0, lanes, decim, g.n_steps // decim + 1)  # every node valid
+    d = pipeline._compute_chunk(job)[0]
+    # The same draws with bcoef = 0 zero every window sum and so r_b: d = r.
+    with pytest.MonkeyPatch.context() as mp:
+        back = estimation._backward_coefficients
+        mp.setattr(estimation, "_backward_coefficients", lambda p, dt: (back(p, dt)[0], 0.0))
+        r = pipeline._compute_chunk(job)[0]
+    r_b = r - d
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
     full = pipeline._window_weights(amp[:100].reshape(10, decim), efac, c * g.dt, afac, bcoef)
@@ -438,8 +490,7 @@ class TestWindowDrawnLanes:
 
         def chunk(lo, hi):
             lengths.clear()
-            d, _, _, theta, _ = pipeline._compute_chunk(
-                (params, g, v, mids, 21, lo, hi, 7, stop, False))
+            d, theta, _ = pipeline._compute_chunk((params, g, v, mids, 21, lo, hi, 7, stop))
             return (d, theta), list(lengths)
 
         monkeypatch.setattr(dynamics, "_mean_coefficients", per_block)
@@ -474,7 +525,7 @@ class TestWindowDrawnLanes:
                 return self.gen.standard_normal(out=out)
 
         monkeypatch.setattr(dynamics, "trajectory_rng", lambda *a: Counted(rng(*a)))
-        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None, False))
+        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None))
         assert set(sizes) == {1000}
 
 
@@ -511,7 +562,7 @@ class TestUnmonitored:
         p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2005)
         v, mids = _chunk_inputs(p, g)
-        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None, False))[3]
+        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None))[1]
         assert _bitwise_equal(theta, np.broadcast_to(v[::10], theta.shape))
         cfg = _write_cfg(tmp_path / "eta0.cfg", (
             "gamma_m_hz = 19\nn_th = 14\ngamma_qba_hz = 360\neta_det = 0\n"
@@ -694,13 +745,14 @@ class TestStreamedRun:
     """run_experiment folds its ensemble lane by lane instead of stacking it."""
 
     def test_products_equal_public_reductions(self, first_run, params):
+        # The run folds chunks of 10 lanes; here all 40 lanes are one chunk.
         _, result = first_run
         cfg = result.config
-        b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
-                             decimation=cfg.decimation, chunk_size=cfg.chunk_size)
-        ev = rd.difference_variance([_filtered_path(b)])
-        rates = rd.ensemble_average_rates(b.theta, b.v_out, b.grid_out, params)
-        phi_c, pi_c = rd.theta_rates(b.theta, b.v_out, params)
+        d, theta = _chunk_lanes(cfg)
+        v_out = result.v_riccati
+        ev = rd.difference_variance([_difference_path(result.grid_out, d)])
+        rates = rd.ensemble_average_rates(theta, v_out, result.grid_out, params)
+        phi_c, pi_c = rd.theta_rates(theta, v_out, params)
         assert result.ev.grid == ev.grid and result.ev.n_samples == ev.n_samples
         assert _bitwise_equal(result.ev.v_d, ev.v_d)
         assert _bitwise_equal(result.ev.stderr, ev.stderr)
@@ -710,6 +762,7 @@ class TestStreamedRun:
         assert _bitwise_equal(result.display_phi, phi_c[:cfg.n_display])
         assert _bitwise_equal(result.display_pi, pi_c[:cfg.n_display])
         by_name = {rec["name"]: rec["value"] for rec in result.checks["invariants"]}
+        b = collect_ensemble(cfg)
         assert by_name["photocurrent_identity"] == b.photocurrent_residual
         assert by_name["filter_inversion_max_abs"] == b.inversion_max_abs
 
@@ -720,9 +773,7 @@ class TestStreamedRun:
                              chunk_size=2, n_display=5, n_workers=1,
                              pipelines=("thermo",))
         result = run_experiment(cfg)
-        b = collect_ensemble(params, cfg.grid(), cfg.n_traj, cfg.master_seed,
-                             decimation=cfg.decimation, chunk_size=cfg.chunk_size)
-        phi_c, pi_c = rd.theta_rates(b.theta, b.v_out, params)
+        phi_c, pi_c = rd.theta_rates(_chunk_lanes(cfg)[1], result.v_riccati, params)
         assert _bitwise_equal(result.display_phi, phi_c[:5])
         assert _bitwise_equal(result.display_pi, pi_c[:5])
 
@@ -932,6 +983,8 @@ class TestCli:
         ("thermo", ["--trajectories", "1"], "an ensemble needs n_traj >= 2"),
         ("reconstruct", ["--trajectories", "4", "--t-final", "1e-4"], "no valid window"),
         ("all", ["--trajectories", "4", "--t-final", "1e-4"], "no valid window"),
+        ("thermo", ["--trajectories", "2", "--t-final", "5e-7"], "one decimation window"),
+        ("reconstruct", ["--trajectories", "2", "--t-final", "5e-7"], "one decimation window"),
     ])
     def test_ensemble_that_cannot_run_exits_2(self, tmp_path, capsys, command, args,
                                               match):
@@ -940,6 +993,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "retrodyn: stage 'config':" in err and match in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "check-fullmodel"])
+    def test_short_horizon_without_an_ensemble_runs(self, tmp_path, command):
+        # 5 steps, under one decimation window: only an ensemble needs one.
+        out = tmp_path / "o"
+        assert cli.main([command, "--trajectories", "2", "--t-final", "5e-7",
+                         "--out", str(out)]) == 0
+        assert out.is_dir()
 
     def test_unwritable_product_exits_1(self, tmp_path, capsys):
         out = tmp_path / "rec"

@@ -247,10 +247,10 @@ class TestEnsembleThermoStatistics:
 
     def test_mean_theta_is_conserved(self, ensemble, rates):
         # E[theta] = V_uc at every time; node 0 is a float identity
-        assert abs(ensemble.theta[:, 0].mean() - rates.v_uc) < 1e-12
-        n = ensemble.theta.shape[0]
-        mean = ensemble.theta[:, 1:].mean(axis=0)
-        se = ensemble.theta[:, 1:].std(axis=0, ddof=1) / math.sqrt(n)
+        theta = ensemble.theta_moments
+        assert abs(theta.mean()[0] - rates.v_uc) < 1e-12
+        mean = theta.mean()[1:]
+        se = np.sqrt(theta.variance()[1:] / theta.count)
         assert np.max(np.abs(mean - rates.v_uc) / se) < 3.0
 
     def test_mean_flux_stays_at_unconditional_value(self, ensemble_rates,
