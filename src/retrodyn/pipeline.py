@@ -28,10 +28,16 @@ node and another, S_j - alpha r_j, completes the retrodiction window sum.
 A lane reads a window only through (u_j, S_j - alpha r_j), a linear map of
 its 2 D independent N(0, dt) increments: exactly normal, independent across
 windows and components, with the 2 x 2 covariance G of _window_factors. So
-every lane draws it, four normals per window, in the same law. _route_check
-runs trajectory 0 once per step through the step helpers of simulate_batch
-and both filters and checks both routes on it (checks.json); the products
-do not read it.
+every lane draws it in the same law, from two normals z_u and z_s per
+component. The products read r_b only on the valid nodes k < J =
+valid_stop, outside the backward burn-in, and a window j >= J reaches them
+only through r_b[J] = sum_{j >= J} A^(j - J) S_j. So z_s is drawn on the
+windows before J only, and the z_s terms past J, independent of everything
+else, sum to one tail normal per lane and component: 2 K + 2 J + 2 normals
+per lane for K windows, and 2 K without retrodiction. _route_check runs
+trajectory 0 once per step through the step helpers of simulate_batch and
+both filters and checks both routes on it, the tail included (checks.json);
+the products do not read it.
 """
 
 from __future__ import annotations
@@ -82,9 +88,9 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 450
 
 #: (x, y) pairs per buffer of a time-major block of the chunk kernel, which
-#: holds 2 pairs of normals per lane and decimation window: about 3.6 MB
-#: whatever the chunk holds. Rounded to whole decimation windows, blocks
-#: leave the bytes alone.
+#: holds a z_u and a z_s pair of normals per lane and decimation window (z_s
+#: on the windows before valid_stop only): about 3.6 MB whatever the chunk
+#: holds. Rounded to whole decimation windows, blocks leave the bytes alone.
 _BLOCK_LANE_STEPS = 225_000
 
 #: Bound on window_route_max_rel, the two routes' difference on trajectory
@@ -310,13 +316,54 @@ def _window_factors(wu, ws, dt: float):
     return l11, l21, np.sqrt(np.maximum(g22 - l21 * l21, 0.0))
 
 
+def _tail_weights(a_win: float, n: int) -> np.ndarray:
+    """A^(j - J) = a_win^(j - J) of the n windows j >= J past the valid
+    window, as a chained product on Python floats."""
+    return np.array(list(accumulate([a_win] * (n - 1), mul, initial=1.0))[:n])
+
+
+def _add_rows(acc, rows) -> None:
+    """acc += rows[0] + rows[1] + ... over (windows, lanes, 2) rows, in
+    order, rows[0] overwritten. numpy reduces a leading axis that is not the
+    fast one row by row, each element on its own: no bit depends on lanes or
+    blocks."""
+    if len(rows):
+        np.add(rows[0], acc, out=rows[0])
+        np.add.reduce(rows, axis=0, out=acc)
+
+
+def _tail_sd(w, l22) -> float:
+    """Standard deviation of sum_j w[j] l22[j] z_j over independent unit
+    normals z_j, the sum taken exactly rounded."""
+    return math.sqrt(math.fsum((np.multiply(w, l22) ** 2).tolist()))
+
+
+#: Philox counter at which a lane's z_s draws start. Its top word is 1, so
+#: under the lane's (master_seed, stream) key they never meet its z_u draws,
+#: which start at 0 (dynamics.trajectory_rng).
+_Z_S_COUNTER = (0, 0, 0, 1)
+
+
+def _z_s_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of a lane's z_s normals and its tail normal."""
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=_Z_S_COUNTER))
+
+
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
     One time-major pass over blocks of whole decimation windows takes the
-    window route (_window_weights): each lane draws (z_u, z_s) per window, x
-    and y of each, for u_j = l11 z_u and S_j = alpha r_j + l21 z_u + l22 z_s
-    (_window_factors), 4 normals per window instead of 2 D.
+    window route (_window_weights): per window j, u_j = l11 z_u and S_j =
+    alpha r_j + l21 z_u + l22 z_s (_window_factors), x and y of each. Each
+    lane draws z_u on every window from its trajectory_rng generator, and,
+    with retrodiction, z_s from _z_s_rng on the windows j < J = valid_stop
+    only. Past J a window reaches the valid nodes only through r_b[J] =
+    sum_{j >= J} A^(j - J) S_j, A = afac^D: its known part alpha r_j + l21
+    z_u is added forward into that row as the nodes are made, and its z_s
+    parts, independent of all else, sum to one tail normal per lane and
+    component of standard deviation sqrt(sum A^(2 (j - J)) l22_j^2), drawn
+    last from the z_s generator. The backward steps run over J windows.
 
     Returns (d, theta, layer_s): d = r_hat - r_b on the valid nodes, (lanes,
     valid_stop, 2), or None without retrodiction (valid_stop None); theta
@@ -339,27 +386,43 @@ def _compute_chunk(args):
     # afac, bcoef; without retrodiction, zeros weight the unused window sums.
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     if retrodict:
+        s_gens = [_z_s_rng(master_seed, s) for s in range(lo, hi)]
         rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
-        rb_dec = np.zeros((n_nodes, lanes, 2))  # window sums, then r_b
+        # Window sums before J, the tail at J; then r_b.
+        rb_dec = np.zeros((valid_stop + 1, lanes, 2))
+        tail_w = _tail_weights(back[0] ** decim, -(-n // decim) - valid_stop)
+        tail_l22 = []
     block = min(decim * max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n)
     # z: unit normals (z_u, z_s) per window, a short last one too; zraw the
-    # draws, then window products. nodes: r at the block's nodes, row 0 carried.
+    # draws, then two window buffers. nodes: r at the block's nodes, row 0 carried.
     n_z = -(-block // decim)
     z, zraw, step = np.empty((n_z, 2, lanes, 2)), np.empty(n_z * lanes * 4), np.empty((lanes, 2))
+    tmp, known = zraw.reshape(2, n_z, lanes, 2)
     nodes = np.zeros((block // decim + 1, lanes, 2))
     lap("chunk_setup")
 
-    def window_sums(out, r_j, zw, alpha, l21, l22):
-        """out = (alpha r_j + l21 z_u) + l22 z_s over the windows of zw."""
-        np.multiply(r_j, alpha, out=out)
-        _add_weighted(out, zw, np.stack([l21, l22], axis=1), zraw[:out.size].reshape(out.shape))
+    def window_sums(j, r_j, zw, alpha, l21, l22):
+        """Windows j, j + 1, ... of zw: alpha r_j + l21 z_u + l22 z_s into
+        rb_dec before J; past it, alpha r_j + l21 z_u into the tail row."""
+        h = min(max(valid_stop - j, 0), len(zw))
+        np.multiply(r_j[:h], alpha, out=rb_dec[j:j + h])
+        _add_weighted(rb_dec[j:j + h], zw[:h], np.stack([l21, l22], axis=1)[:h], tmp[:h])
+        if h < len(zw):
+            w = tail_w[j + h - valid_stop:j + len(zw) - valid_stop]  # A^(j - J)
+            rows = known[:len(w)]
+            np.multiply(r_j[h:], (w * alpha)[:, None, None], out=rows)
+            _add_weighted(rows, zw[h:, :1], (w * l21[h:])[:, None], tmp[:len(w)])
+            _add_rows(rb_dec[-1], rows)
+            tail_l22.extend(l22[h:].tolist())
 
     for s0 in range(0, n, block):
         s1 = min(s0 + block, n)
         m, j0, k = s1 - s0, s0 // decim, (s1 - s0) // decim  # k whole windows
         c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
         zb = z[:-(-m // decim)]
-        dynamics._draw_increments(gens, 1.0, zb.reshape(2 * len(zb), lanes, 2), zraw)
+        dynamics._draw_increments(gens, 1.0, zb[:, 0], zraw)
+        if retrodict and j0 < valid_stop:
+            dynamics._draw_increments(s_gens, 1.0, zb[:valid_stop - j0, 1], zraw)
         lap("draws")
         u = nodes[1:k + 1]
         wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
@@ -376,15 +439,20 @@ def _compute_chunk(args):
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
             # Window sums start from alpha r_j; a short last window has its own weights.
-            window_sums(rb_dec[j0:j0 + k], nodes[:k], zb[:k], alpha, l21, l22)
+            window_sums(j0, nodes[:k], zb[:k], alpha, l21, l22)
             if m > k * decim:
                 wu, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
-                window_sums(rb_dec[j0 + k:j0 + k + 1], nodes[k:k + 1], zb[k:], alpha,
+                window_sums(j0 + k, nodes[k:k + 1], zb[k:], alpha,
                             *_window_factors(wu, ws, dt)[1:])
             lap("window_sums")
         nodes[0] = nodes[k]
+    if retrodict:
+        # The tail normal, drawn where window J's z_s would be.
+        dynamics._draw_increments(s_gens, 1.0, z[:1, 1], zraw)
+        rb_dec[-1] += _tail_sd(tail_w, tail_l22) * z[0, 1]
+        lap("draws")
     # Free the block buffers, and every view of them, before the results.
-    del z, zraw, step, nodes, zb, u
+    del z, zraw, tmp, known, step, nodes, zb, u
     d = None
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
@@ -397,15 +465,18 @@ def _compute_chunk(args):
 
 
 def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim: int,
-                 retrodict: bool):
+                 valid_stop: int | None):
     """(photocurrent residual, filter inversion max, window route max rel):
     the route checks of an ensemble, on trajectory 0 drawn per step.
 
     The step helpers of simulate_trajectory and filter_record run it on the
     midpoint variances v_mids, on Python floats; the window route forms its
-    node means and window sums from the same increments, and the third value
-    is the larger max |difference| / max |per-step value| of the two. No
-    value depends on n_traj, chunking or worker count.
+    node means and window sums from the same increments and, with
+    retrodiction (valid_stop not None), the tail r_b[J] = sum_{j >= J}
+    A^(j - J) S_j, J = valid_stop, summed forward as _compute_chunk sums it,
+    against the per-step r_b at node J. The third value is the largest max
+    |difference| / max |per-step value| of these pairs. No value depends on
+    n_traj, chunking or worker count.
     """
     n, dt, k = grid.n_steps, grid.dt, grid.n_steps // decim  # k whole windows
     c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
@@ -418,6 +489,7 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     idt = photo * dt
     estimation._forward_steps(r_hat, idt, amp, efac, c, dt)
     # The window route: u_j per window, then the node recursion.
+    retrodict = valid_stop is not None
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     wins = dw[:k * decim].reshape(k, decim, 1, 2)
     wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
@@ -436,6 +508,13 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
             np.multiply(nodes[k:], alpha, out=sums[k:])
             _add_weighted(sums[k:], dw[k * decim:][None], ws, tmp[:1])
         pairs.append((sums, ref))
+        tail, rows = np.zeros((1, 2)), sums[valid_stop:]
+        _add_rows(tail, rows * _tail_weights(back[0] ** decim, len(rows))[:, None, None])
+        # The per-step retrodiction filter from r_b(T) = 0 back to node J.
+        r_b = np.zeros((n - valid_stop * decim + 1, 1, 2))
+        np.multiply(idt[n + 1 - len(r_b):], back[1], out=r_b[:-1])
+        estimation._backward_steps(r_b, r_b[:-1], back[0])
+        pairs.append((tail, r_b[0]))
     rel = [np.abs(a - b).max(initial=0.0) / (np.abs(b).max(initial=0.0) or 1.0)
            for a, b in pairs]
     return residual, float(np.max(np.abs(r_hat - r))), float(max(rel))
@@ -481,7 +560,7 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
         theta=np.empty((min(config.n_display, n_traj), grid_out.n_steps + 1)))
     t0 = time.perf_counter()
-    checks = _route_check(p, grid, v_mids, config.master_seed, decimation, retrodict)
+    checks = _route_check(p, grid, v_mids, config.master_seed, decimation, valid_stop)
     bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
     bundle.layer_s["route_check"] = time.perf_counter() - t0
     n_workers = config.n_workers

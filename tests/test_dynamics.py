@@ -190,14 +190,14 @@ class TestTrajectory:
         assert np.max(np.abs(mean) / se) < 4.0
 
     def test_ensemble_r_variance_tracks_theory(self, ensemble, rates):
-        # E|r|^2 = 2 (E theta - V), so the per-quadrature Var[r] = E theta -
-        # V is v_uc - V(t) within 4 standard errors of the theta mean
+        # r_x and r_y are independent N(0, v_uc - V), so |r|^2 / 2 = (v_uc -
+        # V) Exp(1) and theta = V + |r|^2 / 2 has lane variance (v_uc - V)^2.
+        # Its sample variance has relative standard error sqrt(8 / N), from
+        # the central fourth moment 9 of Exp(1): 4.7 % at N = 3600.
         assert ensemble.inversion_max_abs < 1e-9
         theta = ensemble.theta_moments
-        var = theta.mean()[1:] - ensemble.v_out[1:]
-        se = np.sqrt(theta.variance()[1:] / theta.count)
-        target = rates.v_uc - ensemble.v_out[1:]
-        assert np.max(np.abs(var - target) / se) < 4.0
+        ratio = theta.variance()[1:] / (rates.v_uc - ensemble.v_out[1:]) ** 2
+        assert np.max(np.abs(ratio - 1.0)) < 4.0 * math.sqrt(8.0 / theta.count)
 
 
 class TestTrajectoryCsv:

@@ -19,15 +19,15 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "5424ea7ec1b62b274402606cfbb65aa9fb907096b6897d72b0a9c27fc3904558",
+        "ff4358872d9e4a337bb9afbd5692c6ece4ec7721ef6befb1b14abe241a088741",
     "reconstruction.csv":
-        "5df6bfea6b918380b98b4b61fa7f6a2b59e008f16a31c4b079aea2fe2898dd3b",
+        "6b32aab507b47da098d0f529e0b1b89ddd8a69c40a95424e001dea479144b077",
     "entropy_rates.csv":
-        "8730b3def903a14f92a5edf8f299597d2147a1b264fc4cb23d64f316308af7a6",
+        "8b6d87a52ffdaf3ba27a44c7791e5dcde24faf53b29ae4fdb5c3bc02719e79bd",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "c9b7a10c07d766da50bb44952d5a78b79714bc20277f7d23f584ca1243b0165a",
+        "70173b2f237719ba4e4cad6a33659f242b01a440ef305d04e4403782d834d86c",
 }
 
 
@@ -37,11 +37,11 @@ WINDOW_RUN = dict(n_traj=460, t_final=3e-4, n_workers=1, n_display=3,
 
 WINDOW_RUN_DIGESTS = {
     "entropy_rates.csv":
-        "250d037a50bc8ec55429b92c5e5aff17499960dadbb6964ae922b243ca952dde",
+        "0749231cf7c3f4896160469031efb64eae48e852d5338fc197c2713dbfb24e57",
     "information.csv":
         "29773f296fde608bc91f65570332c14f7166056cb83ce9322a9a74a9d22eb05b",
     "checks.json":
-        "c7ed39488249d964a44bc7db4c77db1b1dd07bc974a7981d981a1df78564812d",
+        "1d13997935ae3a97196468ce3585b92f0b9a98c41c5fafc9c120d4b50ac00c37",
 }
 
 

@@ -40,11 +40,11 @@ DETERMINISTIC_FILES = ("variance.csv", "reconstruction.csv",
 # sha256 of SMALL_RUN's products at chunk_size 40 (one chunk). The run's
 # telemetry goes to manifest.json only, so these stay put.
 SMALL_RUN_DIGESTS = {
-    "variance.csv": "6794af2c0c4aee62af799509e1f03323c27b536010322e6b9a5768f3d6321d4f",
-    "reconstruction.csv": "61396838bd3a691437bea2a7353ef11bc2fbacd3fa9dba13f6a27d0b2c70956d",
-    "entropy_rates.csv": "8237c65be95b22078681effa026447af61e95c3c261c0e9f3fe36c7adfede62d",
+    "variance.csv": "1bbb021e349282be299a195423a1b00f4b622e90eb558440f2bcc18897ab0ee3",
+    "reconstruction.csv": "c4662adb1ca6d564c209f3a6d843fa726a57fa1dbaa96c3ee83f35a9524386c3",
+    "entropy_rates.csv": "9f383508a54d603f9094cc998f70561110de5f38f25f091799b2d03daf85e911",
     "information.csv": "54eac1a67d7091c73f207561cc7cf6112ec11f14518ea229fd40906a94c381ac",
-    "checks.json": "b61a847f30202bb8554e334e0e85d4aa5006247b23580d069754375b71e75c2d",
+    "checks.json": "352fa8ff3b53b22f2b59a2a88f168dd06e8fe9659faa7f81a2df507072d5ec3e",
 }
 
 
@@ -297,17 +297,21 @@ class TestChunkKernel:
 
         d, theta, _ = chunk(0, 5, stop)
         assert 0 < stop < n_nodes and d.shape == (5, stop, 2)
-        # The valid window cuts the d of every node, bit for bit.
-        every = chunk(0, 5, n_nodes)
-        assert _bitwise_equal(every[0][:, :stop], d) and _bitwise_equal(every[1], theta)
+        # The valid window leaves theta alone. The windows past it reach d
+        # through one tail normal, so d matches an every-node run in law
+        # (TestTailDrawnLanes), not bit for bit.
+        assert _bitwise_equal(chunk(0, 5, n_nodes)[1], theta)
         for lo, hi in [(0, 3), (3, 5)]:
             out = chunk(lo, hi, stop)
             assert _bitwise_equal(out[0], d[lo:hi]) and _bitwise_equal(out[1], theta[lo:hi])
 
     def test_chunk_holds_no_full_resolution_array(self, params):
-        # A chunk keeps one retrodiction window sum per output node. One
-        # array with a row per step would be full_res on its own; the peak
-        # also holds the chunk's result and the moments it is folded into.
+        # A chunk keeps one retrodiction window sum per valid output node,
+        # 1067 of 3001. One array with a row per step would be full_res
+        # (28.80 MB) on its own. The peak, with the chunk's result and the
+        # moments it is folded into, was measured at 17.53 MB (16.53 MB once
+        # the caches are warm); the bound leaves 0.97 MB above that, less
+        # than the 1.86 MB that window sums on every node would add.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
         full_res = (g.n_steps + 1) * 60 * 2 * np.dtype(float).itemsize
         cfg = _config(params, g, 60, 21, decimation=10, chunk_size=60)
@@ -317,7 +321,7 @@ class TestChunkKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < full_res
+        assert peak < 18.5e6 < full_res
 
     def test_chunk_memory_grows_with_the_nodes_not_the_steps(self, params):
         # At decimation 20 the chunk's decimated lanes and the moments add
@@ -409,6 +413,11 @@ class TestWindowRouteRecord:
 
         assert self.GRID.n_steps % 7 == 5
         _mutated_weights(monkeypatch, full_width)
+        assert self._record(params) > pipeline.WINDOW_ROUTE_TOL
+
+    def test_tail_with_a_power_of_a_off_by_one_fails(self, params, monkeypatch):
+        real = pipeline._tail_weights
+        monkeypatch.setattr(pipeline, "_tail_weights", lambda a, n: real(a, n) * a)
         assert self._record(params) > pipeline.WINDOW_ROUTE_TOL
 
 
@@ -508,25 +517,100 @@ class TestWindowDrawnLanes:
         assert _bitwise_equal(np.concatenate([head[0], tail[0]]), ref[0])
         assert _bitwise_equal(np.concatenate([head[1], tail[1]]), ref[1])
 
-    def test_reference_width_chunks_draw_a_thousand_normals_per_call(self, params,
-                                                                    monkeypatch):
-        # 450 lanes at decimation 10, as in the reference run: 250 windows x
-        # 4 normals per call.
+    def test_reference_width_chunks_draw_exact_normal_counts(self, params, monkeypatch):
+        # 450 lanes at decimation 10, as in the reference run: two blocks of
+        # 250 windows.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=5000)
         v, mids = _chunk_inputs(params, g)
-        sizes, rng = [], dynamics.trajectory_rng
+        calls, draw = [], dynamics._draw_increments
 
-        class Counted:
-            def __init__(self, gen):
-                self.gen = gen
+        def counted(gens, dt, out, raw):
+            # Normals per lane, then the top Philox counter word of the
+            # lanes' generators: 0 for z_u, 1 for z_s and the tail normal.
+            words = {int(gen.bit_generator.state["state"]["counter"][3]) for gen in gens}
+            calls.append((out.size // len(gens), *words))
+            draw(gens, dt, out, raw)
 
-            def standard_normal(self, out):
-                sizes.append(out.size)
-                return self.gen.standard_normal(out=out)
-
-        monkeypatch.setattr(dynamics, "trajectory_rng", lambda *a: Counted(rng(*a)))
+        monkeypatch.setattr(dynamics, "_draw_increments", counted)
+        # Thermo only: 2 z_u normals per window, and no z_s.
         pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None))
-        assert set(sizes) == {1000}
+        assert calls == [(500, 0), (500, 0)]
+        # Retrodicting with J = 300 valid nodes: z_s on windows 0 to 299 and
+        # then one tail pair, 2 J + 2 normals per lane, against 2 K = 1000 z_u.
+        calls.clear()
+        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, 300))
+        assert calls == [(500, 0), (500, 1), (500, 0), (100, 1), (2, 1)]
+        assert [sum(n for n, word in calls if word == w) for w in (0, 1)] == [1000, 602]
+
+
+def _tail_law_z(params):
+    """z score of the tail normal's law, from the second moment of the
+    difference between two runs of the same lanes.
+
+    One run has every node valid, so every window draws its z_s and r_b[J]
+    = sum_{j >= J} A^(j - J) S_j. The other has valid_stop J, so windows j
+    >= J reach r_b[J] through their known parts and one tail normal scaled
+    by sd = sqrt(sum A^(2 (j - J)) l22_j^2). The runs share z_u, the z_s of
+    the windows before J and the normal at window J's place, so at node J -
+    1 they differ by A (sd z_J - sum A^(j - J) l22_j z_j), of variance A^2
+    (2 sd^2 - 2 sd l22_J); each lane and component gives one term of unit
+    mean and variance 2.
+    """
+    # Decimation 500 at dt = 2e-7 s gives A = 0.596, far enough from 1 that
+    # a power of A off by one shows. The tail holds windows 2 to 5 and a
+    # short last one of 230 steps.
+    g, decim, stop, lanes = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=3230), 500, 2, 4000
+    v, mids = _chunk_inputs(params, g)
+    every, tail = (pipeline._compute_chunk((params, g, v, mids, 5, 0, lanes, decim, s))[0]
+                   for s in (g.n_steps // decim + 1, stop))
+    c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
+    afac, bcoef = estimation._backward_coefficients(params, g.dt)
+    weights = [pipeline._window_weights(w, efac, c * g.dt, afac, bcoef)
+               for w in (amp[:3000].reshape(6, decim), amp[3000:][None])]
+    g11, g12, g22 = (np.concatenate([g.dt * np.sum(w[i] * w[j], axis=1) for w in weights])
+                     for i, j in ((0, 0), (0, 1), (1, 1)))
+    l22_sq = g22 - g12 ** 2 / g11  # the variance of S - alpha r given u
+    a_win = afac ** decim
+    var = sum(a_win ** (2 * (j - stop)) * l22_sq[j] for j in range(stop, len(l22_sq)))
+    expect = 2.0 * var - 2.0 * math.sqrt(var * l22_sq[stop])
+    t = ((every[:, stop - 1] - tail[:, stop - 1]) / a_win) ** 2 / expect - 1.0
+    return float(np.mean(t) / math.sqrt(2.0 / t.size))
+
+
+def _tail_mutations():
+    """Name -> patch of pipeline that breaks the tail: its normal dropped,
+    or every power of A one too high or one too low."""
+    real = pipeline._tail_weights
+    return {
+        "no_tail_normal": ("_tail_sd", lambda w, l22: 0.0),
+        "power_plus_one": ("_tail_weights", lambda a, n: real(a, n) * a),
+        "power_minus_one": ("_tail_weights", lambda a, n: real(a, n) / a),
+    }
+
+
+class TestTailDrawnLanes:
+    """The windows past the valid window draw one tail normal, in law."""
+
+    def test_law_matches_the_exact_tail_sum(self, params):
+        assert abs(_tail_law_z(params)) <= LAW_Z
+
+    @pytest.mark.parametrize("mutation", list(_tail_mutations()))
+    def test_law_fails_with_a_wrong_tail(self, params, monkeypatch, mutation):
+        monkeypatch.setattr(pipeline, *_tail_mutations()[mutation])
+        assert abs(_tail_law_z(params)) > LAW_Z
+
+    def test_tail_rows_add_one_window_at_a_time(self):
+        # np.add.reduce over the window axis equals the loop in window order,
+        # whatever the lanes, so the tail row's bits do not follow the chunk.
+        rng = np.random.default_rng(3)
+        for lanes in (1, 2, 5, 450):
+            rows = rng.standard_normal((300, lanes, 2)) * rng.uniform(0.0, 1e3, (300, 1, 1))
+            acc = rng.standard_normal((lanes, 2))
+            loop = acc.copy()
+            for row in rows:
+                loop += row
+            pipeline._add_rows(acc, rows.copy())
+            assert _bitwise_equal(acc, loop), lanes
 
 
 class TestUnmonitored:
