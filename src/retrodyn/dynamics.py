@@ -224,8 +224,13 @@ def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Philox keyed by (seed, stream); consecutive standard_normal draws give
     the (seed, stream, step, component) -> increment mapping.
     """
+    return _philox(seed, stream)
+
+
+def _philox(seed: int, stream: int, counter=None) -> np.random.Generator:
+    """Philox keyed (seed mod 2^64, stream mod 2^64), from counter (0 if None)."""
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _measurement_strength(p: PhysParams) -> float:

@@ -25,7 +25,7 @@ class DomainError(RetrodynError):
 
 
 class NumericsError(RetrodynError):
-    """A computation produced a non-finite (NaN) result."""
+    """A computation produced a non-finite (NaN) result, or a value past a fixed range."""
 
 
 class GridError(RetrodynError):

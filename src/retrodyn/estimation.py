@@ -20,7 +20,6 @@ flagged invalid while the filter forgets its terminal condition.
 Its Euler step r_b[k] = afac r_b[k+1] + bcoef i[k] dt is linear, so it
 composes over windows of D steps (Blelloch, CMU-CS-90-190, 1.4): r_b[D j]
 = afac^D r_b[D (j+1)] + B[j], B[j] = bcoef sum_{m<D} afac^m i[D j + m] dt.
-backward_filter(..., decimation=D) runs on these window sums.
 
 The difference trajectory d(t) = r_hat(t) - r_b(t) has per-quadrature
 ensemble variance
@@ -50,6 +49,7 @@ import numpy as np
 
 from ._io import write_csv
 from .errors import (
+    NumericsError,
     RegimeError,
     ReconstructionError,
     ShapeError,
@@ -233,8 +233,7 @@ def _valid_stop(p: PhysParams, grid: TimeGrid) -> int:
     return max(grid.n_steps + 1 - burn_in_steps(p, grid.dt), 0)
 
 
-def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
-                    decimation: int = 1) -> np.ndarray:
+def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid) -> np.ndarray:
     """Run the retrodiction filter backward from r_b(T) = 0.
 
     Reverse-time explicit Euler of d r_b/dt = lambda r_b - sqrt(4 Gamma_meas)
@@ -242,19 +241,15 @@ def backward_filter(photocurrent, p: PhysParams, grid: TimeGrid,
 
         r_b[k] = (1 - lambda dt) r_b[k+1] + sqrt(4 Gamma_meas) V_E i[k] dt.
 
-    Returns the nodes 0, D, 2D, ... for D = decimation, shape (...,
-    n_steps // D + 1, 2); D > 1 composes each window's steps (module
-    docstring), equal to the per-step nodes up to round-off. Nodes inside
-    the terminal burn-in window (the last ceil(10/(lambda dt)) steps) still
+    Returns the nodes, shape (..., n_steps + 1, 2). Nodes inside the
+    terminal burn-in window (the last ceil(10/(lambda dt)) steps) still
     carry the arbitrary terminal condition; burn_in_steps gives the cutoff.
     """
-    if decimation < 1:
-        raise ValidationError(f"decimation must be >= 1, got {decimation!r}")
     idt = _time_major_increments(photocurrent, grid)
     afac, bcoef = _backward_coefficients(p, grid.dt)
-    out = np.zeros((grid.n_steps // decimation + 1,) + idt.shape[1:])
-    _window_sums(out, idt, afac, bcoef, decimation)
-    _backward_steps(out, out[:-1], afac ** decimation)
+    out = np.zeros((grid.n_steps + 1,) + idt.shape[1:])
+    np.multiply(bcoef, idt, out=out[:-1])
+    _backward_steps(out, out[:-1], afac)
     return np.ascontiguousarray(np.moveaxis(out, 0, -2))
 
 
@@ -273,44 +268,74 @@ def filter_record(photocurrent, p: PhysParams, grid: TimeGrid,
                         valid_range=(0, _valid_stop(p, grid)))
 
 
-class _LaneMoments:
-    """Running count, mean and M2 (summed squared deviations) over lanes.
+#: Each x becomes q = round((x - shift) 2^29 / s), s the largest power of
+#: two up to the node's expected spread. |q| < 2^51 splits into limbs of 26
+#: bits whose int64 sums over 2048 lanes stay below 2^63; 128 nodes fit in cache.
+_GRID_BITS, _LANE_BLOCK, _NODE_BLOCK = 29, 2048, 128
 
-    Welford's update (Technometrics 4, 1962) folds one lane at a time, in
-    the order the lanes are given, so the moments of an ensemble depend on
-    its lane order only, never on how the lanes were batched, chunked or
-    scheduled. Every reduction over an ensemble goes through this fold.
-    It runs on the lanes minus the first lane, which keeps the deviations
-    small where the mean is large against the spread; lanes of identical
-    values give that value exactly as the mean and M2 == 0 exactly.
+
+def _q_sums(x, scale) -> np.ndarray:
+    """(sum q, sum hi^2, sum hi lo, sum lo^2) over the lanes (axis 0) of
+    the scratch array x, overwritten, where q = round(x scale) = hi 2^26 +
+    lo, 0 <= lo < 2^26; int64, each product in a buffer of its factors."""
+    f = np.rint(np.multiply(x, scale, out=x), out=x)
+    top = max(f.max(), -f.min())  # NaN if any is
+    if not top < 2.0 ** 51:
+        raise NumericsError(f"an ensemble value lies {top / 2 ** _GRID_BITS:.6g} expected "
+                            "spreads from its reference; the exact sums hold less than 2^22")
+    q = f.astype(np.int64)
+    hi, lo = q >> 26, q & (2 ** 26 - 1)
+    return np.stack([q.sum(0), np.multiply(hi, hi, out=q).sum(0),
+                     np.multiply(hi, lo, out=hi).sum(0), np.multiply(lo, lo, out=lo).sum(0)])
+
+
+class _ExactMoments:
+    """Count and exact per-node sums (sum q, sum q^2) over lanes, where q
+    rounds each value x, less shift, once to a fixed grid scaled by spread.
+
+    Integer sums depend on neither the order nor the partition of the lanes
+    (Demmel & Nguyen, ARITH 2013); mean() and variance() are each correctly
+    rounded from them. shift (V for theta, 0 for d) and spread (V_uc - V, 1)
+    are known before the run, so lanes all at shift give mean shift,
+    variance 0. A value 2^22 spreads from shift, or not finite, raises
+    NumericsError.
     """
 
-    def __init__(self):
-        self.count = 0
-        self.shift = self.shifted_mean = self.m2 = None
+    def __init__(self, shift=0.0, spread=1.0):
+        self.shift, self.exp, self.count, self.sums = shift, np.frexp(spread)[1], 0, 0
 
-    def fold(self, lanes) -> None:
-        """Fold lanes[0], lanes[1], ... (the leading axis) in order."""
-        lanes = np.asarray(lanes)
-        y, delta, step = np.empty((3,) + lanes.shape[1:])
-        for x in lanes:
-            if self.shift is None:
-                self.shift = x.copy()
-                self.shifted_mean, self.m2 = np.zeros_like(x), np.zeros_like(x)
-            self.count += 1
-            np.subtract(x, self.shift, out=y)
-            np.subtract(y, self.shifted_mean, out=delta)
-            self.shifted_mean += np.divide(delta, self.count, out=step)
-            # m2 += delta (y - mean), y's row reused for the product.
-            self.m2 += np.multiply(delta, np.subtract(y, self.shifted_mean, out=y), out=y)
+    def add(self, lanes) -> None:
+        """Add the lanes lanes[0], lanes[1], ... (the leading axis)."""
+        lanes = np.asarray(lanes, dtype=float)
+        shape, n = lanes.shape[1:], math.prod(lanes.shape[1:])
+        x, shift = lanes.reshape(len(lanes), n), np.broadcast_to(self.shift, shape).ravel()
+        scale = np.broadcast_to(np.ldexp(1.0, _GRID_BITS + 1 - self.exp), shape).ravel()
+        for l0 in range(0, len(x), _LANE_BLOCK):
+            part = np.empty((4, n), dtype=np.int64)
+            for c in range(0, n, _NODE_BLOCK):
+                part[:, c:c + _NODE_BLOCK] = _q_sums(
+                    x[l0:l0 + _LANE_BLOCK, c:c + _NODE_BLOCK] - shift[c:c + _NODE_BLOCK],
+                    scale[c:c + _NODE_BLOCK])
+            s1, hh, hl, ll = part.astype(object)
+            q2 = (hh << 52) + (hl << 27) + ll
+            self.sums = self.sums + np.array([s1, q2]).reshape(2, *shape)
+        self.count += len(x)
+
+    def merge(self, other: "_ExactMoments") -> None:
+        """Add other's lanes; self takes other's shift and grid."""
+        self.shift, self.exp = other.shift, other.exp
+        self.count, self.sums = self.count + other.count, self.sums + other.sums
 
     def mean(self) -> np.ndarray:
-        """Sample mean, the shift added back."""
-        return self.shift + self.shifted_mean
+        """Sample mean: the shift plus the correctly rounded mean of q, scaled."""
+        mean_q = np.asarray(self.sums[0] / self.count, dtype=float)
+        return self.shift + np.ldexp(mean_q, self.exp - _GRID_BITS - 1)
 
     def variance(self) -> np.ndarray:
-        """Sample variance M2 / (count - 1)."""
-        return self.m2 / (self.count - 1)
+        """Sample variance, correctly rounded from the integer sums."""
+        (s1, s2), n = self.sums, self.count
+        var_q = np.asarray((n * s2 - s1 * s1) / (n * (n - 1)), dtype=float)
+        return np.ldexp(var_q, 2 * (self.exp - _GRID_BITS - 1))
 
 
 def difference_variance(paths) -> EnsembleVariance:
@@ -319,12 +344,11 @@ def difference_variance(paths) -> EnsembleVariance:
     paths is a collection of FilteredPath on one common grid (batched paths
     count each lane as one sample), each with r_hat and r_b of one shape,
     (nodes, 2) or (lanes, nodes, 2), nodes = grid.n_steps + 1. The ensemble
-    mean is subtracted even though it vanishes in theory. Lanes are folded
-    one by one in the order given (_LaneMoments), so the result does not
-    depend on how the lanes were batched or scheduled upstream; paths may be
-    a generator.
+    mean is subtracted even though it vanishes in theory. The lanes reduce
+    to exact sums (_ExactMoments), whatever their order or batching; paths
+    may be a generator.
     """
-    moments = _LaneMoments()
+    moments = _ExactMoments()
     grid, lo, hi = None, 0, math.inf
     for path in paths:
         if grid is None:
@@ -340,9 +364,8 @@ def difference_variance(paths) -> EnsembleVariance:
         lo = max(lo, path.valid_range[0])
         hi = min(hi, path.valid_range[1])
         d = r_hat - r_b
-        # The window is applied after the fold: each node's moments are
-        # independent of the others', so the bits are the same.
-        moments.fold(d if d.ndim == 3 else d[None])
+        # The window is applied after the sums, which are node by node.
+        moments.add(d if d.ndim == 3 else d[None])
     if moments.count < 2:
         raise StatisticsError(
             f"difference_variance needs at least 2 paths, got {moments.count}")

@@ -11,12 +11,12 @@ run_experiment turns a configuration into the figure-ready data products:
 
 Everything but manifest.json (timings, peak RSS, versions) is a pure
 function of the configuration, whatever the worker count and chunk size:
-trajectories are keyed (master_seed, stream = trajectory index), and
-collect_ensemble folds each chunk's lanes, in stream-index order, into the
-per-node running moments (Welford's update) of one EnsembleBundle, then drops
-the chunk, so memory does not grow with the ensemble. Only r_hat - r_b and
-theta = V + r.r/2 are folded: the entropy rates, affine in theta, come from
-its moments and the display paths from its first lanes, bit for bit as
+trajectories are keyed (master_seed, stream = trajectory index), and each
+chunk reduces its lanes where it runs to exact integer sums per node
+(estimation._ExactMoments), which collect_ensemble adds up in any order,
+so memory does not grow with the ensemble. Only r_hat - r_b and theta = V
++ r.r/2 are summed: the entropy rates, affine in theta, come from its
+moments and the display paths from its first lanes, bit for bit as
 difference_variance and ensemble_average_rates give them on the same lanes.
 
 A chunk runs as one time-major pass over blocks of whole decimation windows,
@@ -49,7 +49,7 @@ import shutil
 import sys
 import tempfile
 import time
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -64,7 +64,7 @@ from .dynamics import (DEFAULT_DECIMATION, DEFAULT_DT, DEFAULT_T_FINAL, PHOTOCUR
                        TimeGrid, check_grid)
 from .errors import (ConfigError, ResourceError, RetrodynError, StatisticsError,
                      ValidationError)
-from .estimation import EnsembleVariance, _LaneMoments
+from .estimation import EnsembleVariance, _ExactMoments
 from .fullmodel import adiabatic_consistency_check
 from .model import PhysParams, derive_rates, load_config, validate_params
 from .thermo import EnsembleRates
@@ -82,9 +82,8 @@ __all__ = [
     "emit_figure_data",
 ]
 
-#: Trajectories per chunk: the unit of work handed to a worker. Reductions
-#: fold lane by lane in stream-index order, so the chunk size leaves the
-#: bytes alone.
+#: Trajectories per chunk: the unit of work handed to a worker. Each chunk
+#: reduces to exact sums, so the chunk size leaves the bytes alone.
 DEFAULT_CHUNK_SIZE = 450
 
 #: (x, y) pairs per buffer of a time-major block of the chunk kernel, which
@@ -240,44 +239,37 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 
 @dataclass
 class EnsembleBundle:
-    """What an ensemble run keeps: per-node lane moments, its first lanes
-    and the route check values.
+    """What an ensemble run keeps: per-node exact lane sums, its first
+    lanes and the route check values.
 
-    d_moments holds the moments of r_hat - r_b on the valid window (nodes
-    0 <= k < valid_stop) and stays empty without retrodiction; theta_moments
+    d_moments holds the sums of r_hat - r_b on the valid window (nodes 0 <=
+    k < valid_stop) and stays empty without retrodiction; theta_moments
     those of theta = V + r.r/2. theta keeps the first n_kept = min(n_display,
     n_traj) lanes, shape (n_kept, n_out + 1); no other lane is kept. grid_out
     is the decimated grid; v_out the Riccati solution on it. The check values
     come from _route_check; layer_s sums the seconds per kernel layer of
-    _compute_chunk, those of the fold ("fold") and of the route check.
+    _compute_chunk, those of the chunks' sums ("fold") and of the route check.
     """
 
     grid_out: TimeGrid
     v_out: np.ndarray
     valid_stop: int | None
     theta: np.ndarray
-    d_moments: _LaneMoments = field(default_factory=_LaneMoments)
-    theta_moments: _LaneMoments = field(default_factory=_LaneMoments)
+    d_moments: _ExactMoments = field(default_factory=_ExactMoments)
+    theta_moments: _ExactMoments = field(default_factory=_ExactMoments)
     inversion_max_abs: float = 0.0
     photocurrent_residual: float = 0.0
     window_route_max_rel: float = 0.0
     layer_s: Counter = field(default_factory=Counter)
 
-    def _fold(self, bounds, results) -> None:
-        """Fold the chunk results (_compute_chunk) for lanes lo <= j < hi of
-        each (lo, hi) in bounds, in that order, lane by lane."""
-        for lo, hi in bounds:
-            d, theta, layer_s = next(results)
-            t0 = time.perf_counter()
-            if d is not None:
-                self.d_moments.fold(d)
-            self.theta_moments.fold(theta)
-            k = max(min(hi, len(self.theta)) - lo, 0)
-            self.theta[lo:lo + k] = theta[:k]
+    def _add(self, parts) -> None:
+        """Add the chunk parts (_chunk_sums), in any order."""
+        for lo, theta, sums, layer_s in parts:
+            self.theta[lo:lo + len(theta)] = theta
+            for ours, theirs in zip((self.d_moments, self.theta_moments), sums):
+                ours.merge(theirs)
             self.layer_s.update(layer_s)
-            self.layer_s["fold"] += time.perf_counter() - t0
-            # Drop the chunk's lanes before the next chunk is computed.
-            del d, theta
+            del theta, sums  # before the next chunk is computed
 
 
 def _window_weights(amp_w, efac: float, cdt: float, afac: float, bcoef: float):
@@ -344,12 +336,6 @@ def _tail_sd(w, l22) -> float:
 _Z_S_COUNTER = (0, 0, 0, 1)
 
 
-def _z_s_rng(seed: int, stream: int) -> np.random.Generator:
-    """The generator of a lane's z_s normals and its tail normal."""
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=_Z_S_COUNTER))
-
-
 def _compute_chunk(args):
     """Simulate, filter, and decimate one chunk of trajectories.
 
@@ -357,8 +343,8 @@ def _compute_chunk(args):
     window route (_window_weights): per window j, u_j = l11 z_u and S_j =
     alpha r_j + l21 z_u + l22 z_s (_window_factors), x and y of each. Each
     lane draws z_u on every window from its trajectory_rng generator, and,
-    with retrodiction, z_s from _z_s_rng on the windows j < J = valid_stop
-    only. Past J a window reaches the valid nodes only through r_b[J] =
+    with retrodiction, z_s from its key at _Z_S_COUNTER on the windows j < J
+    = valid_stop only. Past J a window reaches the valid nodes only through r_b[J] =
     sum_{j >= J} A^(j - J) S_j, A = afac^D: its known part alpha r_j + l21
     z_u is added forward into that row as the nodes are made, and its z_s
     parts, independent of all else, sum to one tail normal per lane and
@@ -386,7 +372,7 @@ def _compute_chunk(args):
     # afac, bcoef; without retrodiction, zeros weight the unused window sums.
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     if retrodict:
-        s_gens = [_z_s_rng(master_seed, s) for s in range(lo, hi)]
+        s_gens = [dynamics._philox(master_seed, s, _Z_S_COUNTER) for s in range(lo, hi)]
         rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
         # Window sums before J, the tail at J; then r_b.
         rb_dec = np.zeros((valid_stop + 1, lanes, 2))
@@ -457,7 +443,7 @@ def _compute_chunk(args):
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
-        # d, lane-major in rh_dec's buffer: the fold reads it row by row.
+        # d, lane-major in rh_dec's buffer: the sums read it row by row.
         diff = np.subtract(rh_dec, rb_dec[:valid_stop], out=rb_dec[:valid_stop])
         d = dynamics._swap_pairs(diff, rh_dec.reshape(lanes, valid_stop, 2))
         lap("backward_steps")
@@ -520,29 +506,34 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     return residual, float(np.max(np.abs(r_hat - r))), float(max(rel))
 
 
-def _in_order(pool, jobs, depth: int):
-    """The chunk results of jobs from pool, in job order, with at most depth
-    submitted and not yet yielded: finished chunks do not pile up here."""
-    pending = deque()
-    for job in jobs:
-        if len(pending) == depth:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_compute_chunk, job))
-    while pending:
-        yield pending.popleft().result()
+def _chunk_sums(job):
+    """A worker's job (args, n_kept): _compute_chunk(args), reduced where it
+    runs to exact sums (layer "fold"). Returns (lo, the chunk's theta lanes
+    below n_kept, (the d sums, the theta sums about V), layer_s)."""
+    args, n_kept = job
+    p, _, v_nodes, _, _, lo, _, decim, _ = args
+    d, theta, layer_s = _compute_chunk(args)
+    t0 = time.perf_counter()
+    sums = _ExactMoments(), thermo._theta_moments(v_nodes[::decim], p)
+    for moments, lanes in zip(sums, (d, theta)):
+        if lanes is not None:
+            moments.add(lanes)
+    layer_s["fold"] += time.perf_counter() - t0
+    # A copy: a view would keep the whole chunk alive.
+    return lo, theta[:max(n_kept - lo, 0)].copy(), sums, layer_s
 
 
 def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
-    """Run the configured seeded ensemble chunk by chunk and fold it into an
+    """Run the configured seeded ensemble chunk by chunk and sum it into an
     EnsembleBundle.
 
     Trajectory j uses stream index j under master_seed, so any sub-ensemble
     is bit-reproducible in isolation, and no bit depends on chunk_size or
     n_workers. The Riccati series is solved once for every chunk. Chunks run
     here or, for n_workers > 1 (0 = one per available CPU), in a process
-    pool with at most one chunk per worker waiting beyond those running.
-    The backward filter runs only when "reconstruct" is configured; then
-    the measurement-off limit eta_det = 0 raises RegimeError.
+    pool; each hands back its exact sums and display lanes only. The
+    backward filter runs only when "reconstruct" is configured; then the
+    measurement-off limit eta_det = 0 raises RegimeError.
     """
     p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
@@ -550,15 +541,14 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     retrodict = "reconstruct" in config.pipelines
     v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
-    bounds = [(lo, min(lo + config.chunk_size, n_traj))
-              for lo in range(0, n_traj, config.chunk_size)]
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
-    jobs = [(p, grid, v_nodes, v_mids, config.master_seed, lo, hi, decimation, valid_stop)
-            for lo, hi in bounds]
+    n_kept, size = min(config.n_display, n_traj), config.chunk_size
+    jobs = [((p, grid, v_nodes, v_mids, config.master_seed, lo, min(lo + size, n_traj),
+              decimation, valid_stop), n_kept) for lo in range(0, n_traj, size)]
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
-        theta=np.empty((min(config.n_display, n_traj), grid_out.n_steps + 1)))
+        theta=np.empty((n_kept, grid_out.n_steps + 1)))
     t0 = time.perf_counter()
     checks = _route_check(p, grid, v_mids, config.master_seed, decimation, valid_stop)
     bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
@@ -571,9 +561,9 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
         # The pool starts all its workers at once: no more than jobs.
         n_workers = min(n_workers, len(jobs))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            bundle._fold(bounds, _in_order(pool, jobs, n_workers + 1))
+            bundle._add(pool.map(_chunk_sums, jobs))
     else:
-        bundle._fold(bounds, map(_compute_chunk, jobs))
+        bundle._add(map(_chunk_sums, jobs))
     return bundle
 
 
@@ -703,11 +693,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             display_phi, display_pi = thermo.theta_rates(ens.theta, ens.v_out, p)
             theta_mean = ens.theta_moments.mean()
             theta_se = np.sqrt(ens.theta_moments.variance()) / math.sqrt(config.n_traj)
-            # Nodes without ensemble scatter (node 0, where r(0) = 0 on every
-            # lane, and every node at eta_det = 0) make a z a ratio of
-            # round-off terms; test them as identities instead. The fold
-            # gives such nodes their common value exactly and M2 == 0.
-            scatter = ens.theta_moments.m2 > 0
+            # Nodes without ensemble scatter (node 0, where r(0) = 0, and
+            # every node at eta_det = 0) have theta = V, the sums' shift, on
+            # every lane: mean V exactly, variance 0. Test them as identities.
+            scatter = theta_se > 0
             dev = np.abs(theta_mean - rates_d.v_uc)
             z_theta = float(np.max(dev[scatter] / theta_se[scatter], initial=0.0))
             t0_dev = float(np.max(dev[~scatter]))

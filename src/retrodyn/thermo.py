@@ -30,7 +30,7 @@ import numpy as np
 from ._io import write_csv
 from .errors import DomainError, ShapeError, StatisticsError
 from .dynamics import TimeGrid
-from .estimation import _LaneMoments
+from .estimation import _ExactMoments
 from .model import PhysParams, derive_rates
 
 __all__ = [
@@ -167,8 +167,8 @@ def ensemble_average_rates(theta, v, grid: TimeGrid, p: PhysParams) -> EnsembleR
     """Pointwise sample means of phi_c and pi_c over an ensemble.
 
     theta holds one lane of theta = V + r.r/2 per row, shape (lanes,
-    grid.n_steps + 1), on the variance series v. The lanes are folded one by
-    one in row order (estimation._LaneMoments). Standard errors are k *
+    grid.n_steps + 1), on the variance series v. The lanes reduce to exact
+    sums (_theta_moments), whatever their order. Standard errors are k *
     sample-std(theta) / sqrt(N).
     """
     theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
@@ -177,12 +177,18 @@ def ensemble_average_rates(theta, v, grid: TimeGrid, p: PhysParams) -> EnsembleR
         raise ShapeError(
             f"theta must be (lanes, {nodes}) and v ({nodes},) on a grid of "
             f"{grid.n_steps} steps, got {theta.shape} and {v.shape}")
-    moments = _LaneMoments()
-    moments.fold(theta)
+    moments = _theta_moments(v, p)
+    moments.add(theta)
     return _ensemble_rates(moments, v, grid, p)
 
 
-def _ensemble_rates(theta: _LaneMoments, v, grid: TimeGrid,
+def _theta_moments(v, p: PhysParams) -> _ExactMoments:
+    """Empty exact sums for theta lanes on the variance series v: about V,
+    on a grid scaled by V_uc - V, the mean of r.r/2 and so of its spread."""
+    return _ExactMoments(v, derive_rates(p).v_uc - v)
+
+
+def _ensemble_rates(theta: _ExactMoments, v, grid: TimeGrid,
                     p: PhysParams) -> EnsembleRates:
     """EnsembleRates from theta's lane moments: the rates of the mean theta."""
     n = theta.count

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import retrodyn as rd
+from retrodyn import estimation
 from retrodyn.dynamics import _FLOAT_BLOCK
 
 #: Block length the step-count cases below are built around.
@@ -74,8 +75,7 @@ class TestForwardFilter:
         batch = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 20, [0, 1])
         r0 = [0.25, -1.5]
         r_hat = rd.forward_filter(batch.photocurrent, params, g, v_series=batch.v, r0=r0)
-        r_b = {d: rd.backward_filter(batch.photocurrent, params, g, decimation=d)
-               for d in (1, 7)}
+        r_b = {d: _window_backward(batch.photocurrent, params, g, d) for d in (1, 7)}
         for j in range(2):
             lane = rd.simulate_trajectory(params, g, batch.v[0], 20, stream=j)
             assert _bitwise_equal(lane.r, batch.r[j])
@@ -86,8 +86,7 @@ class TestForwardFilter:
             assert single[0].tolist() == r0
             for d, batched in r_b.items():
                 assert _bitwise_equal(
-                    rd.backward_filter(lane.photocurrent, params, g, decimation=d),
-                    batched[j])
+                    _window_backward(lane.photocurrent, params, g, d), batched[j])
 
 
 class TestBackwardFilter:
@@ -134,9 +133,22 @@ def _kernel_records(params, n_steps):
     return g, traj.photocurrent
 
 
+def _window_backward(photocurrent, params, g, decimation):
+    """r_b at every decimation-th node as the ensemble kernel composes it:
+    the window sums of the record (_window_sums), then the backward steps
+    over them with afac^D."""
+    idt = estimation._time_major_increments(photocurrent, g)
+    afac, bcoef = estimation._backward_coefficients(params, g.dt)
+    out = np.zeros((g.n_steps // decimation + 1,) + idt.shape[1:])
+    estimation._window_sums(out, idt, afac, bcoef, decimation)
+    estimation._backward_steps(out, out[:-1], afac ** decimation)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -2))
+
+
 class TestDecimatedBackwardFilter:
-    """backward_filter(..., decimation=D): r_b at every D-th node from
-    window sums, against the per-step recursion."""
+    """The window composition of the retrodiction filter (_window_sums plus
+    _backward_steps): r_b at every D-th node from window sums, against the
+    per-step recursion of backward_filter."""
 
     @pytest.mark.parametrize("n_steps", KERNEL_STEPS)
     def test_decimation_1_is_the_per_step_recursion(self, params, rates, n_steps):
@@ -146,9 +158,9 @@ class TestDecimatedBackwardFilter:
         ref = np.zeros((i.shape[0], n_steps + 1, 2))
         for k in range(n_steps - 1, -1, -1):
             ref[:, k] = ref[:, k + 1] * afac + bcoef * (i[:, k] * g.dt)
-        out = rd.backward_filter(i, params, g, decimation=1)
+        out = rd.backward_filter(i, params, g)
         assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
-        assert out.tobytes() == rd.backward_filter(i, params, g).tobytes()
+        assert out.tobytes() == _window_backward(i, params, g, 1).tobytes()
 
     @pytest.mark.parametrize("n_steps, decimation",
                              [(n, d) for n in KERNEL_STEPS for d in (7, 10)]
@@ -156,19 +168,14 @@ class TestDecimatedBackwardFilter:
     def test_window_nodes_match_the_per_step_nodes(self, params, n_steps, decimation):
         g, i = _kernel_records(params, n_steps)
         full = rd.backward_filter(i, params, g)
-        out = rd.backward_filter(i, params, g, decimation=decimation)
+        out = _window_backward(i, params, g, decimation)
         assert out.shape == (i.shape[0], n_steps // decimation + 1, 2)
         scale = np.max(np.abs(full))
         np.testing.assert_allclose(out, full[..., ::decimation, :],
                                    rtol=1e-12, atol=1e-12 * scale)
         # Lanes are independent: one record alone gives the same bits.
-        single = rd.backward_filter(i[1], params, g, decimation=decimation)
+        single = _window_backward(i[1], params, g, decimation)
         assert single.tobytes() == out[1].tobytes()
-
-    def test_decimation_below_1_rejected(self, params):
-        g, i = _kernel_records(params, 10)
-        with pytest.raises(rd.ValidationError, match="decimation"):
-            rd.backward_filter(i, params, g, decimation=0)
 
 
 def _manual_path(grid, r_hat, r_b, valid):
@@ -207,11 +214,17 @@ class TestDifferenceVariance:
         batched = _manual_path(g, r_hat, r_b, (0, 5))
         ev = rd.difference_variance([batched])
         d = r_hat - r_b
-        expected = d.var(axis=0, ddof=1).mean(axis=1)
+        # The sums see each value rounded once to the grid of 2^-29.
+        grid = 2.0 ** -estimation._GRID_BITS
+        expected = (np.rint(d / grid) * grid).var(axis=0, ddof=1).mean(axis=1)
         np.testing.assert_allclose(ev.v_d, expected, rtol=1e-14)
         assert ev.n_samples == 16
         np.testing.assert_allclose(
             ev.stderr, expected * math.sqrt(2.0 / 15.0), rtol=1e-14)
+        # That rounding moves a variance by at most about its spread (here
+        # about 1.4) times the grid.
+        np.testing.assert_allclose(ev.v_d, d.var(axis=0, ddof=1).mean(axis=1),
+                                   rtol=0.0, atol=4 * grid)
 
     def test_too_few_paths(self):
         g = rd.TimeGrid(t0=0.0, dt=1e-6, n_steps=4)
@@ -247,6 +260,54 @@ class TestDifferenceVariance:
         p2 = _manual_path(g, np.zeros((5, 2)), np.zeros((5, 2)), (0, 5))
         with pytest.raises(rd.StatisticsError, match="valid window"):
             rd.difference_variance([p1, p2])
+
+
+class TestExactMoments:
+    """The exact lane sums behind every ensemble reduction."""
+
+    def test_order_and_partition_leave_every_bit(self):
+        # 5000 lanes span three lane blocks, 260 nodes three node blocks.
+        rng = np.random.default_rng(9)
+        lanes = rng.normal(3.0, 5.0, size=(5000, 130, 2))
+        whole = estimation._ExactMoments()
+        whole.add(lanes)
+        for cuts in ([137, 313], [1, 2048, 4999], [2500]):
+            merged = estimation._ExactMoments()
+            for part in np.split(lanes[rng.permutation(len(lanes))], cuts)[::-1]:
+                piece = estimation._ExactMoments()
+                piece.add(part)
+                merged.merge(piece)
+            assert merged.count == whole.count == 5000
+            assert merged.sums.tolist() == whole.sums.tolist()
+            assert _bitwise_equal(merged.mean(), whole.mean())
+            assert _bitwise_equal(merged.variance(), whole.variance())
+        # The integer sums are those of q = round(x 2^29), whatever the
+        # limbs; checked on the nodes at the edges of the node blocks.
+        edges = [0, 127, 128, 255, 256, 259]
+        q = [[round(x * 2 ** estimation._GRID_BITS) for x in col]
+             for col in lanes.reshape(5000, -1)[:, edges].T.tolist()]
+        assert whole.sums.reshape(2, -1)[:, edges].tolist() == [
+            [sum(col) for col in q], [sum(x * x for x in col) for col in q]]
+
+    def test_lanes_at_the_shift_sum_to_zero(self):
+        shift = np.array([33.45, 0.5, 1e-3])
+        moments = estimation._ExactMoments(shift)
+        moments.add(np.broadcast_to(shift, (5000, 3)))
+        assert _bitwise_equal(moments.mean(), shift)
+        assert not np.any(moments.variance())
+
+    @pytest.mark.parametrize("value", [2.0 ** 22, -2.0 ** 22, np.inf, np.nan])
+    def test_values_past_the_range_raise(self, value):
+        # The largest values inside, in every lane of three lane blocks:
+        # no limb sum wraps.
+        grid = 2.0 ** -estimation._GRID_BITS
+        inside = estimation._ExactMoments(1.0)
+        edges = [1.0 + 2.0 ** 22 - grid, 1.0 - 2.0 ** 22 + grid]
+        inside.add(np.repeat(edges, [3000, 2000])[:, None])
+        top = 2 ** 51 - 1
+        assert inside.sums.tolist() == [[1000 * top], [5000 * top * top]]
+        with pytest.raises(rd.NumericsError, match="exact sums"):
+            estimation._ExactMoments(1.0).add([[1.0], [1.0 + value]])
 
 
 class TestReconstruction:

@@ -19,15 +19,15 @@ GOLDEN_RUN = dict(n_traj=240, chunk_size=60, n_workers=1, n_display=3)
 
 RUN_DIGESTS = {
     "variance.csv":
-        "ff4358872d9e4a337bb9afbd5692c6ece4ec7721ef6befb1b14abe241a088741",
+        "43e0c8822b7c860f8b2ab923a9374ba5387fa0c63467ba04eeec213debd2904b",
     "reconstruction.csv":
-        "6b32aab507b47da098d0f529e0b1b89ddd8a69c40a95424e001dea479144b077",
+        "579615fd95c61b1f282e6474ea08a5b692e21ebde274222bdac8c87be8ba73c1",
     "entropy_rates.csv":
-        "8b6d87a52ffdaf3ba27a44c7791e5dcde24faf53b29ae4fdb5c3bc02719e79bd",
+        "3becf4ee2cd8bab8a1440902d07f945d5b22ac91d9331b43bb10e21d5ce574af",
     "information.csv":
         "e59c66be4610b5446af5324af7ddf2a18c41e3ee233db3435d505b1251429925",
     "checks.json":
-        "70173b2f237719ba4e4cad6a33659f242b01a440ef305d04e4403782d834d86c",
+        "630e2ce4a0bf3faa964c7830615c64c31e5883188d6af8296f5628658f6ed3a7",
 }
 
 
@@ -37,11 +37,11 @@ WINDOW_RUN = dict(n_traj=460, t_final=3e-4, n_workers=1, n_display=3,
 
 WINDOW_RUN_DIGESTS = {
     "entropy_rates.csv":
-        "0749231cf7c3f4896160469031efb64eae48e852d5338fc197c2713dbfb24e57",
+        "62748c626ee8b8a38dc8741c0ea63d1168e7d87c261a08fd71309be2334442a0",
     "information.csv":
         "29773f296fde608bc91f65570332c14f7166056cb83ce9322a9a74a9d22eb05b",
     "checks.json":
-        "1d13997935ae3a97196468ce3585b92f0b9a98c41c5fafc9c120d4b50ac00c37",
+        "c6e7db8e61d5afa96519eae56205cc24dd6fb6fdf6324aaed6cfa99b8870c5ff",
 }
 
 

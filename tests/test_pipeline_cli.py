@@ -40,11 +40,11 @@ DETERMINISTIC_FILES = ("variance.csv", "reconstruction.csv",
 # sha256 of SMALL_RUN's products at chunk_size 40 (one chunk). The run's
 # telemetry goes to manifest.json only, so these stay put.
 SMALL_RUN_DIGESTS = {
-    "variance.csv": "1bbb021e349282be299a195423a1b00f4b622e90eb558440f2bcc18897ab0ee3",
-    "reconstruction.csv": "c4662adb1ca6d564c209f3a6d843fa726a57fa1dbaa96c3ee83f35a9524386c3",
-    "entropy_rates.csv": "9f383508a54d603f9094cc998f70561110de5f38f25f091799b2d03daf85e911",
+    "variance.csv": "cf5cfd1d28de5b512ffe6c5ebe455fdbfa2fc832b122796e46174777673eb419",
+    "reconstruction.csv": "9794a038290dd63e1d9918ae985baa92cbcaeacaec38935747272764112904c1",
+    "entropy_rates.csv": "038bcd308101393f33f937a66c37949f7aec7ae2d0b733dae251c8898f5d4e33",
     "information.csv": "54eac1a67d7091c73f207561cc7cf6112ec11f14518ea229fd40906a94c381ac",
-    "checks.json": "352fa8ff3b53b22f2b59a2a88f168dd06e8fe9659faa7f81a2df507072d5ec3e",
+    "checks.json": "9b87366efd4cdb8ce0de41f1b37e4d58db98882f629edc8367edc7cdb913a6b3",
 }
 
 
@@ -203,7 +203,10 @@ class TestEnsembleBundle:
         for name in ("d_moments", "theta_moments"):
             a, b = getattr(one, name), getattr(many, name)
             assert a.count == b.count == 5
-            assert _bitwise_equal(a.mean(), b.mean()) and _bitwise_equal(a.m2, b.m2), name
+            # The integer sums themselves, node by node.
+            assert a.sums.tolist() == b.sums.tolist(), name
+            assert _bitwise_equal(a.mean(), b.mean()), name
+            assert _bitwise_equal(a.variance(), b.variance()), name
         assert _bitwise_equal(one.theta, many.theta)
 
     def test_moments_equal_public_reductions(self, params):
@@ -670,6 +673,11 @@ def _read_products(out_dir):
     return {name: (out_dir / name).read_bytes() for name in DETERMINISTIC_FILES}
 
 
+def _digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in DETERMINISTIC_FILES}
+
+
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run_a")
@@ -715,6 +723,24 @@ class TestRunDeterminism:
             out = tmp_path / f"c{chunk_size}w{n_workers}"
             run_experiment(small_config(out, chunk_size=chunk_size, n_workers=n_workers))
             assert (out / "checks.json").read_bytes() == checks, (chunk_size, n_workers)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, SMALL_RUN["n_traj"]])
+    def test_shuffled_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, chunk_size):
+        # Each chunk reduces to exact integer sums, so the order in which the
+        # parent receives them cannot move a bit: chunks arrive shuffled from
+        # the pool (2 workers) and from the serial path (1 worker, whose
+        # builtin map the module-level name shadows).
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _ShuffledPool)
+        monkeypatch.setattr(pipeline, "map", lambda fn, jobs: _ShuffledPool(1).map(fn, jobs),
+                            raising=False)
+        monkeypatch.setattr(_ShuffledPool, "delivered", [])
+        for n_workers in (1, 2):
+            out = tmp_path / f"w{n_workers}"
+            run_experiment(small_config(out, chunk_size=chunk_size, n_workers=n_workers))
+            assert _digests(out) == SMALL_RUN_DIGESTS, n_workers
+        firsts = list(range(0, SMALL_RUN["n_traj"], chunk_size))
+        assert sorted(_ShuffledPool.delivered) == sorted(2 * firsts)
+        assert len(firsts) == 1 or _ShuffledPool.delivered[:len(firsts)] != firsts
 
     def test_thermo_only_run_writes_the_same_rates(self, first_run, tmp_path):
         out_a, _ = first_run
@@ -782,16 +808,13 @@ class TestRunDeterminism:
         assert manifest["peak_rss_mb"]["self"] > 0.0
         # The telemetry lives in manifest.json alone: the products keep
         # their bytes.
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in DETERMINISTIC_FILES} == SMALL_RUN_DIGESTS
+        assert _digests(out) == SMALL_RUN_DIGESTS
 
     def test_kernel_layer_times_leave_the_products_alone(self, tmp_path, monkeypatch):
         def run(name):
             out = tmp_path / name
             run_experiment(small_config(out, chunk_size=SMALL_RUN["n_traj"]))
-            digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
-                       for n in DETERMINISTIC_FILES}
-            return digests, json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            return _digests(out), json.loads((out / "manifest.json").read_text(encoding="utf-8"))
 
         digests, manifest = run("timed")
         layers = manifest["kernel_layer_s"]
@@ -886,6 +909,18 @@ class TestStreamedRun:
         assert by_name["theta_mean_t0_abs_dev"]["value"] == 0.0
         assert all(rec["pass"] for rec in by_name.values()), by_name
 
+    @pytest.mark.parametrize("n_th, eta_det", [(1e7, 1e-6), (14.0, 1e-12)],
+                             ids=["hot", "weakly-measured"])
+    def test_theta_sums_follow_the_expected_spread(self, tmp_path, n_th, eta_det):
+        # theta - V scatters by about V_uc - V: near 1e7 for a hot resonator,
+        # near 1e-13 under a weak measurement. The grid scales with it, so
+        # neither leaves the sums' range nor rounds every lane to V.
+        p = rd.PhysParams(**{**vars(rd.default_params()), "n_th": n_th, "eta_det": eta_det})
+        cfg = rd.ExperimentConfig(params=p, out_dir=str(tmp_path), n_traj=40, t_final=1e-3,
+                                  n_workers=1, pipelines=("thermo",))
+        by_name = {rec["name"]: rec for rec in run_experiment(cfg).checks["invariants"]}
+        assert all(rec["pass"] for rec in by_name.values()), by_name
+
     def test_corrupted_photocurrent_fails_its_check(self, tmp_path, monkeypatch):
         def wrong_sign(r_start, dw, c, dt, out=None):
             return np.divide(dw - c * r_start * dt, dt, out=out)
@@ -898,15 +933,26 @@ class TestStreamedRun:
         assert not rec["pass"] and rec["value"] > 1e-3, rec
 
 
-class _DoneFuture:
-    """A finished future: the result of a pool stub that runs each job at once."""
+class _ShuffledPool:
+    """A pool stub that runs every job here and hands the results back in a
+    shuffled order; delivered records the first lane of each, in that order."""
 
-    def __init__(self, value, on_result=lambda fut: None):
-        self.value, self.on_result = value, on_result
+    delivered: list = []
 
-    def result(self):
-        self.on_result(self)
-        return self.value
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        parts = [fn(job) for job in jobs]
+        np.random.default_rng(5).shuffle(parts)
+        self.delivered.extend(part[0] for part in parts)
+        return parts
 
 
 class TestStagesAndEmit:
@@ -941,6 +987,23 @@ class TestStagesAndEmit:
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert math.isfinite(manifest["lane_steps_per_s"])
         assert manifest["lane_steps_per_s"] > 0.0
+
+    def test_a_lane_past_the_exact_sums_names_its_stage(self, tmp_path, monkeypatch):
+        # A lane that diverged, here to an infinite theta, cannot enter the
+        # exact sums: its chunk stops the run in the stage that made it.
+        real = pipeline._compute_chunk
+
+        def diverging(args):
+            d, theta, layer_s = real(args)
+            theta[-1, -1] = np.inf
+            return d, theta, layer_s
+
+        monkeypatch.setattr(pipeline, "_compute_chunk", diverging)
+        cfg = default_config(out_dir=str(tmp_path), n_traj=4, t_final=2e-5, chunk_size=2,
+                             n_workers=1, pipelines=("thermo",))
+        with pytest.raises(rd.NumericsError,
+                           match="stage 'simulate': an ensemble value lies inf .* exact sums"):
+            run_experiment(cfg)
 
     def test_failing_stage_is_named(self, tmp_path):
         # horizon shorter than the backward burn-in leaves no valid window
@@ -1121,7 +1184,7 @@ class TestCli:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, job):
+            def map(self, fn, jobs):
                 raise exc
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FailingPool)
@@ -1145,42 +1208,14 @@ class TestCli:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, job):
-                return _DoneFuture(fn(job))
+            def map(self, fn, jobs):
+                return map(fn, jobs)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
         cfg = default_config(out_dir=str(tmp_path), n_workers=64, n_traj=4,
                              chunk_size=2, t_final=1e-4, pipelines=("thermo",))
         run_experiment(cfg)
         assert sizes == [2]
-
-    def test_pool_keeps_one_chunk_per_worker_waiting(self, tmp_path, monkeypatch):
-        # Finished chunks wait in the parent until the fold reaches them:
-        # at most n_workers + 1 may be submitted and not yet folded.
-        pending, peaks = set(), []
-
-        class WindowPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, job):
-                fut = _DoneFuture(fn(job), on_result=pending.discard)
-                pending.add(fut)
-                peaks.append(len(pending))
-                return fut
-
-        out_1, out_w = tmp_path / "one", tmp_path / "window"
-        run_experiment(small_config(out_1, chunk_size=4))
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", WindowPool)
-        run_experiment(small_config(out_w, n_workers=2, chunk_size=4))
-        assert len(peaks) == 10 and max(peaks) == 3 and not pending
-        assert _read_products(out_1) == _read_products(out_w)
 
     def test_pipeline_failure_exits_1(self, tmp_path, capsys):
         # The whole valid window as the tail spans the decay of V(t), so the

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retrodyn as rd
+from retrodyn import estimation
 
 # frozen closed-form point values for the reference parameters
 PI_UC_SS = 302780.6562357196         # unconditional production at V_uc
@@ -192,13 +193,21 @@ class TestEnsembleAverageRates:
     def test_means_and_stderr(self, params):
         theta, v, g = self._two_lanes(params)
         out = rd.ensemble_average_rates(theta, v, g, params)
-        phi, _ = rd.theta_rates(theta, v, params)
-        np.testing.assert_allclose(out.phi_c, phi.mean(axis=0), rtol=1e-14)
+        # The sums see theta - V rounded once to a grid of 2^-29 times the
+        # largest power of two up to V_uc - V, the mean of r.r/2.
+        spread = rd.derive_rates(params).v_uc - v
+        grid = np.ldexp(1.0, np.frexp(spread)[1] - 1 - estimation._GRID_BITS)
+        x = np.rint((theta - v) / grid) * grid
+        phi, _ = rd.theta_rates(v + x.mean(axis=0), v, params)
+        np.testing.assert_allclose(out.phi_c, phi, rtol=1e-14)
         # Both rates have slope -k and +k in theta, so both standard errors
         # are k times theta's (node 0 has no scatter: both read 0 there).
         k = params.gamma_m / (params.n_th + 0.5) + 4.0 * params.gamma_qba
         np.testing.assert_allclose(
-            out.stderr_phi_c, k * theta.std(axis=0, ddof=1) / math.sqrt(2), rtol=1e-14)
+            out.stderr_phi_c, k * x.std(axis=0, ddof=1) / math.sqrt(2), rtol=1e-14)
+        # The rounding moves the mean theta by at most half a grid step.
+        phi, _ = rd.theta_rates(theta, v, params)
+        assert np.all(np.abs(out.phi_c - phi.mean(axis=0)) <= k * grid)
         assert out.stderr_phi_c.tobytes() == out.stderr_pi_c.tobytes()
         assert out.n_samples == 2
 
