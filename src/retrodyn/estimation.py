@@ -274,21 +274,6 @@ def filter_record(photocurrent, p: PhysParams, grid: TimeGrid,
 _GRID_BITS, _LANE_BLOCK, _NODE_BLOCK = 29, 2048, 128
 
 
-def _q_sums(x, scale) -> np.ndarray:
-    """(sum q, sum hi^2, sum hi lo, sum lo^2) over the lanes (axis 0) of
-    the scratch array x, overwritten, where q = round(x scale) = hi 2^26 +
-    lo, 0 <= lo < 2^26; int64, each product in a buffer of its factors."""
-    f = np.rint(np.multiply(x, scale, out=x), out=x)
-    top = max(f.max(), -f.min())  # NaN if any is
-    if not top < 2.0 ** 51:
-        raise NumericsError(f"an ensemble value lies {top / 2 ** _GRID_BITS:.6g} expected "
-                            "spreads from its reference; the exact sums hold less than 2^22")
-    q = f.astype(np.int64)
-    hi, lo = q >> 26, q & (2 ** 26 - 1)
-    return np.stack([q.sum(0), np.multiply(hi, hi, out=q).sum(0),
-                     np.multiply(hi, lo, out=hi).sum(0), np.multiply(lo, lo, out=lo).sum(0)])
-
-
 class _ExactMoments:
     """Count and exact per-node sums (sum q, sum q^2) over lanes, where q
     rounds each value x, less shift, once to a fixed grid scaled by spread.
@@ -307,19 +292,45 @@ class _ExactMoments:
     def add(self, lanes) -> None:
         """Add the lanes lanes[0], lanes[1], ... (the leading axis)."""
         lanes = np.asarray(lanes, dtype=float)
-        shape, n = lanes.shape[1:], math.prod(lanes.shape[1:])
-        x, shift = lanes.reshape(len(lanes), n), np.broadcast_to(self.shift, shape).ravel()
-        scale = np.broadcast_to(np.ldexp(1.0, _GRID_BITS + 1 - self.exp), shape).ravel()
-        for l0 in range(0, len(x), _LANE_BLOCK):
-            part = np.empty((4, n), dtype=np.int64)
-            for c in range(0, n, _NODE_BLOCK):
-                part[:, c:c + _NODE_BLOCK] = _q_sums(
-                    x[l0:l0 + _LANE_BLOCK, c:c + _NODE_BLOCK] - shift[c:c + _NODE_BLOCK],
-                    scale[c:c + _NODE_BLOCK])
-            s1, hh, hl, ll = part.astype(object)
-            q2 = (hh << 52) + (hl << 27) + ll
-            self.sums = self.sums + np.array([s1, q2]).reshape(2, *shape)
-        self.count += len(x)
+        part = self.partial(len(lanes), lanes.shape[1:])
+        self.fold(part, lanes, 0)
+        self.add_sums(part, len(lanes))
+
+    @staticmethod
+    def partial(lanes: int, shape) -> np.ndarray:
+        """Zero int64 sums of lanes lanes on nodes of the given shape, for fold."""
+        return np.zeros((-(-lanes // _LANE_BLOCK), 4, *shape), dtype=np.int64)
+
+    def fold(self, part, x, at: int) -> None:
+        """Sum the lanes x (leading axis) on nodes at, at + 1, ... of the
+        first node axis into part (partial): per tile of _LANE_BLOCK lanes and
+        _NODE_BLOCK nodes, the int64 sums of q = hi 2^26 + lo (0 <= lo <
+        2^26), hi^2, hi lo and lo^2. Only a tile's scratch is made."""
+        scale = np.broadcast_to(np.ldexp(1.0, _GRID_BITS + 1 - self.exp), part.shape[2:])
+        shift = np.broadcast_to(self.shift, part.shape[2:])
+        for n0 in range(0, x.shape[1], _NODE_BLOCK):
+            nodes = slice(at + n0, at + min(n0 + _NODE_BLOCK, x.shape[1]))
+            for b, l0 in enumerate(range(0, len(x), _LANE_BLOCK)):
+                f = np.subtract(x[l0:l0 + _LANE_BLOCK, n0:n0 + _NODE_BLOCK], shift[nodes],
+                                order="C")  # lane-major, whatever x's layout
+                f = np.rint(np.multiply(f, scale[nodes], out=f), out=f)
+                top = max(f.max(initial=0.0), -f.min(initial=0.0))  # NaN if any is
+                if not top < 2.0 ** 51:
+                    raise NumericsError(
+                        f"an ensemble value lies {top / 2 ** _GRID_BITS:.6g} expected spreads "
+                        "from its reference; the exact sums hold less than 2^22")
+                q = f.astype(np.int64)
+                hi, lo = q >> 26, q & (2 ** 26 - 1)
+                part[b, :, nodes] = (q.sum(0), np.multiply(hi, hi, out=q).sum(0),
+                                     np.multiply(hi, lo, out=hi).sum(0),
+                                     np.multiply(lo, lo, out=lo).sum(0))
+                del f, q, hi, lo  # before the next tile's scratch
+
+    def add_sums(self, part, count: int) -> None:
+        """Add the sums part of count lanes, folded (fold)."""
+        for s1, hh, hl, ll in part.astype(object):
+            self.sums = self.sums + np.array([s1, (hh << 52) + (hl << 27) + ll])
+        self.count += count
 
     def merge(self, other: "_ExactMoments") -> None:
         """Add other's lanes; self takes other's shift and grid."""

@@ -247,8 +247,8 @@ class EnsembleBundle:
     those of theta = V + r.r/2. theta keeps the first n_kept = min(n_display,
     n_traj) lanes, shape (n_kept, n_out + 1); no other lane is kept. grid_out
     is the decimated grid; v_out the Riccati solution on it. The check values
-    come from _route_check; layer_s sums the seconds per kernel layer of
-    _compute_chunk, those of the chunks' sums ("fold") and of the route check.
+    come from _route_check; layer_s sums the seconds per layer of the chunks
+    (_compute_chunk, whose sums are "fold") and of the route check.
     """
 
     grid_out: TimeGrid
@@ -263,7 +263,7 @@ class EnsembleBundle:
     layer_s: Counter = field(default_factory=Counter)
 
     def _add(self, parts) -> None:
-        """Add the chunk parts (_chunk_sums), in any order."""
+        """Add the chunks' results (_compute_chunk), in any order."""
         for lo, theta, sums, layer_s in parts:
             self.theta[lo:lo + len(theta)] = theta
             for ours, theirs in zip((self.d_moments, self.theta_moments), sums):
@@ -337,7 +337,7 @@ _Z_S_COUNTER = (0, 0, 0, 1)
 
 
 def _compute_chunk(args):
-    """Simulate, filter, and decimate one chunk of trajectories.
+    """Simulate, filter and decimate one chunk of trajectories into exact sums.
 
     One time-major pass over blocks of whole decimation windows takes the
     window route (_window_weights): per window j, u_j = l11 z_u and S_j =
@@ -349,14 +349,16 @@ def _compute_chunk(args):
     z_u is added forward into that row as the nodes are made, and its z_s
     parts, independent of all else, sum to one tail normal per lane and
     component of standard deviation sqrt(sum A^(2 (j - J)) l22_j^2), drawn
-    last from the z_s generator. The backward steps run over J windows.
+    last from the z_s generator. The sums (layer "fold") take each block's
+    theta rows as they are made, and d = r_hat - r_b, time-major, after the
+    backward steps over J windows.
 
-    Returns (d, theta, layer_s): d = r_hat - r_b on the valid nodes, (lanes,
-    valid_stop, 2), or None without retrodiction (valid_stop None); theta
-    (lanes, nodes); layer_s, seconds per kernel layer. Results depend only
-    on args, not on the worker.
+    Returns (lo, theta, sums, layer_s): the lanes below n_kept, (lanes,
+    nodes); the _ExactMoments of d on the valid nodes (none without
+    retrodiction, valid_stop None) and of theta about V; seconds per kernel
+    layer. Results depend only on args, not on the worker.
     """
-    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop = args
+    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, n_kept = args
     layer_s, clock = Counter(), [time.perf_counter()]
 
     def lap(layer):
@@ -365,10 +367,10 @@ def _compute_chunk(args):
 
     n, dt, lanes = grid.n_steps, grid.dt, hi - lo
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
-    n_nodes = n // decim + 1
-    theta = np.empty((lanes, n_nodes))
-    theta[:, 0] = v_nodes[0]  # r(0) = 0 on every lane
-    retrodict = valid_stop is not None
+    v_out, retrodict = v_nodes[::decim], valid_stop is not None
+    theta = np.full((max(min(n_kept, hi) - lo, 0), len(v_out)), v_out[0])  # r(0) = 0
+    sums = _ExactMoments(), thermo._theta_moments(v_out, p)
+    part = sums[1].partial(lanes, v_out.shape)  # theta's node 0, at V, sums to 0
     # afac, bcoef; without retrodiction, zeros weight the unused window sums.
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     if retrodict:
@@ -418,10 +420,14 @@ def _compute_chunk(args):
         e_win = efac ** decim
         for i in range(k):
             np.add(np.multiply(nodes[i], e_win, out=step), u[i], out=u[i])
-        # theta = V + (u_x^2 + u_y^2) / 2: the sum np.sum(u * u, axis=-1) forms.
-        theta[:, j0 + 1:j0 + k + 1] = (v_nodes[s0 + decim:s1 + 1:decim]
-                                       + 0.5 * np.add(*(u * u).T))
         lap("node_recursion")
+        # theta = V + (u_x^2 + u_y^2) / 2, time-major in the window buffers.
+        sq, rows = np.multiply(u, u, out=tmp[:k]), known.reshape(-1)[:k * lanes].reshape(k, lanes)
+        np.add(np.multiply(np.add(sq[..., 0], sq[..., 1], out=rows), 0.5, out=rows),
+               v_out[j0 + 1:j0 + k + 1, None], out=rows)
+        theta[:, j0 + 1:j0 + k + 1] = rows[:, :len(theta)].T
+        sums[1].fold(part, rows.T, j0 + 1)
+        lap("fold")
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
             # Window sums start from alpha r_j; a short last window has its own weights.
@@ -437,17 +443,17 @@ def _compute_chunk(args):
         dynamics._draw_increments(s_gens, 1.0, z[:1, 1], zraw)
         rb_dec[-1] += _tail_sd(tail_w, tail_l22) * z[0, 1]
         lap("draws")
-    # Free the block buffers, and every view of them, before the results.
-    del z, zraw, tmp, known, step, nodes, zb, u
-    d = None
+    # Free the block buffers, and every view of them, before d.
+    del z, zraw, tmp, known, step, nodes, zb, u, sq, rows
     if retrodict:
         # In place: each window sum is read just before its r_b replaces it.
         estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
-        # d, lane-major in rh_dec's buffer: the sums read it row by row.
-        diff = np.subtract(rh_dec, rb_dec[:valid_stop], out=rb_dec[:valid_stop])
-        d = dynamics._swap_pairs(diff, rh_dec.reshape(lanes, valid_stop, 2))
+        d = np.subtract(rh_dec, rb_dec[:valid_stop], out=rh_dec)  # time-major
         lap("backward_steps")
-    return d, theta, layer_s
+        sums[0].add(d.transpose(1, 0, 2))  # lane-major tile by tile
+        lap("fold")
+    sums[1].add_sums(part, lanes)
+    return lo, theta, sums, layer_s
 
 
 def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim: int,
@@ -506,23 +512,6 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     return residual, float(np.max(np.abs(r_hat - r))), float(max(rel))
 
 
-def _chunk_sums(job):
-    """A worker's job (args, n_kept): _compute_chunk(args), reduced where it
-    runs to exact sums (layer "fold"). Returns (lo, the chunk's theta lanes
-    below n_kept, (the d sums, the theta sums about V), layer_s)."""
-    args, n_kept = job
-    p, _, v_nodes, _, _, lo, _, decim, _ = args
-    d, theta, layer_s = _compute_chunk(args)
-    t0 = time.perf_counter()
-    sums = _ExactMoments(), thermo._theta_moments(v_nodes[::decim], p)
-    for moments, lanes in zip(sums, (d, theta)):
-        if lanes is not None:
-            moments.add(lanes)
-    layer_s["fold"] += time.perf_counter() - t0
-    # A copy: a view would keep the whole chunk alive.
-    return lo, theta[:max(n_kept - lo, 0)].copy(), sums, layer_s
-
-
 def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     """Run the configured seeded ensemble chunk by chunk and sum it into an
     EnsembleBundle.
@@ -544,8 +533,8 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
     n_kept, size = min(config.n_display, n_traj), config.chunk_size
-    jobs = [((p, grid, v_nodes, v_mids, config.master_seed, lo, min(lo + size, n_traj),
-              decimation, valid_stop), n_kept) for lo in range(0, n_traj, size)]
+    jobs = [(p, grid, v_nodes, v_mids, config.master_seed, lo, min(lo + size, n_traj),
+             decimation, valid_stop, n_kept) for lo in range(0, n_traj, size)]
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
         theta=np.empty((n_kept, grid_out.n_steps + 1)))
@@ -561,9 +550,9 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
         # The pool starts all its workers at once: no more than jobs.
         n_workers = min(n_workers, len(jobs))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            bundle._add(pool.map(_chunk_sums, jobs))
+            bundle._add(pool.map(_compute_chunk, jobs))
     else:
-        bundle._add(map(_chunk_sums, jobs))
+        bundle._add(map(_compute_chunk, jobs))
     return bundle
 
 

@@ -266,7 +266,7 @@ class TestExactMoments:
     """The exact lane sums behind every ensemble reduction."""
 
     def test_order_and_partition_leave_every_bit(self):
-        # 5000 lanes span three lane blocks, 260 nodes three node blocks.
+        # 5000 lanes span three lane blocks, 130 nodes two node blocks.
         rng = np.random.default_rng(9)
         lanes = rng.normal(3.0, 5.0, size=(5000, 130, 2))
         whole = estimation._ExactMoments()
@@ -282,7 +282,8 @@ class TestExactMoments:
             assert _bitwise_equal(merged.mean(), whole.mean())
             assert _bitwise_equal(merged.variance(), whole.variance())
         # The integer sums are those of q = round(x 2^29), whatever the
-        # limbs; checked on the nodes at the edges of the node blocks.
+        # limbs; checked at flat positions 0, 127, 128, 255, 256 and 259,
+        # across the node-block edge between 255 (node 127) and 256 (128).
         edges = [0, 127, 128, 255, 256, 259]
         q = [[round(x * 2 ** estimation._GRID_BITS) for x in col]
              for col in lanes.reshape(5000, -1)[:, edges].T.tolist()]

@@ -255,14 +255,40 @@ def _chunk_inputs(params, g):
     return v, dynamics.conditional_variance_midpoints(params, v, g.dt)
 
 
+def _kernel_lanes(args):
+    """(d, theta) of every lane of the chunk (p, grid, v_nodes, v_mids,
+    master_seed, lo, hi, decim, valid_stop) as _compute_chunk folds them,
+    recorded from what _ExactMoments.fold is handed; d is None without
+    retrodiction. The chunk keeps every lane for display, and those lanes
+    must be the theta it folds (node 0, V on every lane, it does not
+    fold)."""
+    grid, lo, hi, decim, stop = args[1], args[5], args[6], args[7], args[8]
+    d = None if stop is None else np.full((hi - lo, stop, 2), np.nan)
+    theta = np.full((hi - lo, grid.n_steps // decim + 1), np.nan)
+    fold = estimation._ExactMoments.fold
+
+    def recording(moments, part, x, at):
+        # d's sums are (lane blocks, 4, nodes, 2), theta's (lane blocks, 4, nodes).
+        (d if part.ndim == 4 else theta)[:, at:at + x.shape[1]] = x
+        fold(moments, part, x, at)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation._ExactMoments, "fold", recording)
+        shown = pipeline._compute_chunk((*args, hi))[1]
+    theta[:, 0] = shown[:, 0]
+    assert _bitwise_equal(shown, theta)
+    assert d is None or not np.isnan(d).any()
+    return d, theta
+
+
 def _chunk_lanes(cfg):
     """(d, theta) of every lane of cfg's ensemble, from _compute_chunk as one
     chunk; d is None unless cfg retrodicts."""
     g, p = cfg.grid(), cfg.params
     stop = (estimation._valid_stop(p, pipeline._decimated(g, cfg.decimation))
             if "reconstruct" in cfg.pipelines else None)
-    return pipeline._compute_chunk((p, g, *_chunk_inputs(p, g), cfg.master_seed, 0,
-                                    cfg.n_traj, cfg.decimation, stop))[:2]
+    return _kernel_lanes((p, g, *_chunk_inputs(p, g), cfg.master_seed, 0, cfg.n_traj,
+                          cfg.decimation, stop))
 
 
 class TestChunkKernel:
@@ -296,9 +322,9 @@ class TestChunkKernel:
         n_nodes, stop = 12003 // 7 + 1, estimation._valid_stop(params, pipeline._decimated(g, 7))
 
         def chunk(lo, hi, valid_stop):
-            return pipeline._compute_chunk((params, g, v, mids, 21, lo, hi, 7, valid_stop))
+            return _kernel_lanes((params, g, v, mids, 21, lo, hi, 7, valid_stop))
 
-        d, theta, _ = chunk(0, 5, stop)
+        d, theta = chunk(0, 5, stop)
         assert 0 < stop < n_nodes and d.shape == (5, stop, 2)
         # The valid window leaves theta alone. The windows past it reach d
         # through one tail normal, so d matches an every-node run in law
@@ -311,10 +337,10 @@ class TestChunkKernel:
     def test_chunk_holds_no_full_resolution_array(self, params):
         # A chunk keeps one retrodiction window sum per valid output node,
         # 1067 of 3001. One array with a row per step would be full_res
-        # (28.80 MB) on its own. The peak, with the chunk's result and the
-        # moments it is folded into, was measured at 17.53 MB (16.53 MB once
-        # the caches are warm); the bound leaves 0.97 MB above that, less
-        # than the 1.86 MB that window sums on every node would add.
+        # (28.80 MB) on its own. The peak, with the sums the chunk folds its
+        # lanes into, was measured at 14.74 MB (13.74 MB once the caches are
+        # warm); the bound leaves 0.96 MB above that, less than the 1.86 MB
+        # that window sums on every node would add.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
         full_res = (g.n_steps + 1) * 60 * 2 * np.dtype(float).itemsize
         cfg = _config(params, g, 60, 21, decimation=10, chunk_size=60)
@@ -324,7 +350,43 @@ class TestChunkKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18.5e6 < full_res
+        assert peak < 15.7e6 < full_res
+
+    def test_reference_width_chunk_holds_no_theta_lanes(self, params):
+        # One chunk of the reference run: 450 lanes, 30 000 steps, decimation
+        # 10. It holds r_hat and the window sums on the 1067 valid nodes (15.4
+        # MB) and the block buffers (9 MB), and sums theta and d as they are
+        # made: 27.30 MB measured. Theta on every lane and node would add
+        # 10.8 MB.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
+        v, mids = _chunk_inputs(params, g)
+        stop = estimation._valid_stop(params, pipeline._decimated(g, 10))
+        tracemalloc.start()
+        try:
+            pipeline._compute_chunk((params, g, v, mids, 1234, 0, 450, 10, stop, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stop == 1067 and peak <= 30e6
+
+    def test_chunks_past_the_int64_lane_bound_keep_their_sums(self, params):
+        # The sum of lo^2 (lo < 2^26, about 2^52 / 3 on average) over 7000
+        # lanes passes 2^63: the kernel's int64 sums keep one row per
+        # _LANE_BLOCK (2048) lanes, so one chunk of 7000 lanes sums to what
+        # seven of 1000 do.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105)
+        v, mids = _chunk_inputs(params, g)
+
+        def sums(lo, hi):  # valid_stop 6 of 11 nodes: a tail of 5 windows
+            return pipeline._compute_chunk((params, g, v, mids, 5, lo, hi, 10, 6, 0))[2]
+
+        whole, merged = sums(0, 7000), (estimation._ExactMoments(), estimation._ExactMoments())
+        for lo in range(0, 7000, 1000):
+            for ours, theirs in zip(merged, sums(lo, lo + 1000)):
+                ours.merge(theirs)
+        for a, b in zip(whole, merged):
+            assert a.count == b.count == 7000
+            assert a.sums.tolist() == b.sums.tolist()
 
     def test_chunk_memory_grows_with_the_nodes_not_the_steps(self, params):
         # At decimation 20 the chunk's decimated lanes and the moments add
@@ -434,12 +496,12 @@ def _window_law_z(params):
     g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105), 10, 2000
     v, mids = _chunk_inputs(params, g)
     job = (params, g, v, mids, 5, 0, lanes, decim, g.n_steps // decim + 1)  # every node valid
-    d = pipeline._compute_chunk(job)[0]
+    d = _kernel_lanes(job)[0]
     # The same draws with bcoef = 0 zero every window sum and so r_b: d = r.
     with pytest.MonkeyPatch.context() as mp:
         back = estimation._backward_coefficients
         mp.setattr(estimation, "_backward_coefficients", lambda p, dt: (back(p, dt)[0], 0.0))
-        r = pipeline._compute_chunk(job)[0]
+        r = _kernel_lanes(job)[0]
     r_b = r - d
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
@@ -502,8 +564,7 @@ class TestWindowDrawnLanes:
 
         def chunk(lo, hi):
             lengths.clear()
-            d, theta, _ = pipeline._compute_chunk((params, g, v, mids, 21, lo, hi, 7, stop))
-            return (d, theta), list(lengths)
+            return _kernel_lanes((params, g, v, mids, 21, lo, hi, 7, stop)), list(lengths)
 
         monkeypatch.setattr(dynamics, "_mean_coefficients", per_block)
         runs = []
@@ -519,6 +580,23 @@ class TestWindowDrawnLanes:
         assert h_len == [1503] and t_len == [1470, 33]
         assert _bitwise_equal(np.concatenate([head[0], tail[0]]), ref[0])
         assert _bitwise_equal(np.concatenate([head[1], tail[1]]), ref[1])
+
+    def test_short_last_window_keeps_its_bytes_in_any_block(self, params, monkeypatch):
+        # 12003 steps at decimation 7 leave a valid window (1503 steps leave
+        # none) and a 5-step last window in the tail, whose weights read the
+        # measurement strength: the whole record in one block, a last block
+        # of 82 steps (11 whole windows and the short one), and of 14-step
+        # blocks a last one of the short window alone.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
+        v, mids = _chunk_inputs(params, g)
+        stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
+        assert 0 < stop and g.n_steps % 7 == 5
+        runs = []
+        for pairs in (10**6, 2100, 40):
+            monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", pairs)
+            sums = pipeline._compute_chunk((params, g, v, mids, 21, 0, 8, 7, stop, 0))[2]
+            runs.append([s.sums.tolist() for s in sums])
+        assert runs[0] == runs[1] == runs[2]
 
     def test_reference_width_chunks_draw_exact_normal_counts(self, params, monkeypatch):
         # 450 lanes at decimation 10, as in the reference run: two blocks of
@@ -536,12 +614,12 @@ class TestWindowDrawnLanes:
 
         monkeypatch.setattr(dynamics, "_draw_increments", counted)
         # Thermo only: 2 z_u normals per window, and no z_s.
-        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None))
+        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None, 0))
         assert calls == [(500, 0), (500, 0)]
         # Retrodicting with J = 300 valid nodes: z_s on windows 0 to 299 and
         # then one tail pair, 2 J + 2 normals per lane, against 2 K = 1000 z_u.
         calls.clear()
-        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, 300))
+        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, 300, 0))
         assert calls == [(500, 0), (500, 1), (500, 0), (100, 1), (2, 1)]
         assert [sum(n for n, word in calls if word == w) for w in (0, 1)] == [1000, 602]
 
@@ -564,7 +642,7 @@ def _tail_law_z(params):
     # short last one of 230 steps.
     g, decim, stop, lanes = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=3230), 500, 2, 4000
     v, mids = _chunk_inputs(params, g)
-    every, tail = (pipeline._compute_chunk((params, g, v, mids, 5, 0, lanes, decim, s))[0]
+    every, tail = (_kernel_lanes((params, g, v, mids, 5, 0, lanes, decim, s))[0]
                    for s in (g.n_steps // decim + 1, stop))
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
@@ -649,7 +727,7 @@ class TestUnmonitored:
         p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2005)
         v, mids = _chunk_inputs(p, g)
-        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None))[1]
+        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None, 6))[1]
         assert _bitwise_equal(theta, np.broadcast_to(v[::10], theta.shape))
         cfg = _write_cfg(tmp_path / "eta0.cfg", (
             "gamma_m_hz = 19\nn_th = 14\ngamma_qba_hz = 360\neta_det = 0\n"
@@ -991,14 +1069,14 @@ class TestStagesAndEmit:
     def test_a_lane_past_the_exact_sums_names_its_stage(self, tmp_path, monkeypatch):
         # A lane that diverged, here to an infinite theta, cannot enter the
         # exact sums: its chunk stops the run in the stage that made it.
-        real = pipeline._compute_chunk
+        fold = estimation._ExactMoments.fold
 
-        def diverging(args):
-            d, theta, layer_s = real(args)
-            theta[-1, -1] = np.inf
-            return d, theta, layer_s
+        def diverging(moments, part, x, at):
+            if part.ndim == 3:  # theta's sums: (lane blocks, 4, nodes)
+                x[-1, -1] = np.inf
+            fold(moments, part, x, at)
 
-        monkeypatch.setattr(pipeline, "_compute_chunk", diverging)
+        monkeypatch.setattr(estimation._ExactMoments, "fold", diverging)
         cfg = default_config(out_dir=str(tmp_path), n_traj=4, t_final=2e-5, chunk_size=2,
                              n_workers=1, pipelines=("thermo",))
         with pytest.raises(rd.NumericsError,
