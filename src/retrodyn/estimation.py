@@ -194,20 +194,18 @@ def _backward_steps(r_b, bidt, afac: float) -> None:
 
 
 def _window_sums(out, idt, afac: float, bcoef: float, decim: int) -> None:
-    """out[j] = bcoef sum_{m<decim} afac^m idt[decim j + m] by Horner's rule.
+    """out[j] = bcoef sum_{m<decim} afac^m idt[decim j + m] by Horner's rule,
+    over the whole windows of idt (len(idt) a multiple of decim), into
+    out[:len(idt) // decim].
 
     Elementwise over a (windows, decim, lanes, 2) view of the time-major
-    idt, so the bits do not depend on splitting it into whole windows. The
-    rows past the last whole window form one short window in out[n_win].
+    idt, so the bits do not depend on splitting it into whole windows.
     """
-    n_win, rest = divmod(len(idt), decim)
-    rows = idt[:n_win * decim].reshape((n_win, decim) + idt.shape[1:])
+    rows = idt.reshape((-1, decim) + idt.shape[1:])
     acc = rows[:, -1]
     for m in range(decim - 2, -1, -1):
         acc = acc * afac + rows[:, m]
-    np.multiply(bcoef, acc, out=out[:n_win])
-    if rest:
-        _window_sums(out[n_win:], idt[n_win * decim:], afac, bcoef, rest)
+    np.multiply(bcoef, acc, out=out[:len(rows)])
 
 
 def _retrodiction_rates(p: PhysParams) -> DerivedRates:

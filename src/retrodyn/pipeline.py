@@ -19,8 +19,10 @@ so memory does not grow with the ensemble. Only r_hat - r_b and theta = V
 moments and the display paths from its first lanes, bit for bit as
 difference_variance and ensemble_average_rates give them on the same lanes.
 
-A chunk runs as one time-major pass over blocks of whole decimation windows,
-laid out (steps, lanes, 2). The prediction filter repeats the synthesis up
+An ensemble runs on whole decimation windows: its grid ends at grid_out's
+last node, and a horizon past it runs as the horizon floored to that node.
+A chunk runs as one time-major pass over blocks of those windows, laid out
+(steps, lanes, 2). The prediction filter repeats the synthesis up
 to round-off (r_hat = r), and both are linear in the draws, so every lane
 takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window j of D
 steps, one weighted sum u_j of its increments carries the means to the next
@@ -339,17 +341,18 @@ _Z_S_COUNTER = (0, 0, 0, 1)
 def _compute_chunk(args):
     """Simulate, filter and decimate one chunk of trajectories into exact sums.
 
-    One time-major pass over blocks of whole decimation windows takes the
+    grid.n_steps is a multiple of D = decim (collect_ensemble cuts the grid
+    there). One time-major pass over blocks of whole windows takes the
     window route (_window_weights): per window j, u_j = l11 z_u and S_j =
     alpha r_j + l21 z_u + l22 z_s (_window_factors), x and y of each. Each
     lane draws z_u on every window from its trajectory_rng generator, and,
     with retrodiction, z_s from its key at _Z_S_COUNTER on the windows j < J
-    = valid_stop only. Past J a window reaches the valid nodes only through r_b[J] =
-    sum_{j >= J} A^(j - J) S_j, A = afac^D: its known part alpha r_j + l21
-    z_u is added forward into that row as the nodes are made, and its z_s
-    parts, independent of all else, sum to one tail normal per lane and
-    component of standard deviation sqrt(sum A^(2 (j - J)) l22_j^2), drawn
-    last from the z_s generator. The sums (layer "fold") take each block's
+    = valid_stop only. Past J a window reaches the valid nodes only through
+    r_b[J] = sum_{j >= J} A^(j - J) S_j, A = afac^D: its known part alpha
+    r_j + l21 z_u is added forward into that row as the nodes are made, and
+    its z_s parts, independent of all else, sum to one tail normal per lane
+    and component of standard deviation sqrt(sum A^(2 (j - J)) l22_j^2),
+    drawn last from the z_s generator. The sums (layer "fold") take each block's
     theta rows as they are made, and d = r_hat - r_b, time-major, after the
     backward steps over J windows.
 
@@ -378,44 +381,29 @@ def _compute_chunk(args):
         rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
         # Window sums before J, the tail at J; then r_b.
         rb_dec = np.zeros((valid_stop + 1, lanes, 2))
-        tail_w = _tail_weights(back[0] ** decim, -(-n // decim) - valid_stop)
+        tail_w = _tail_weights(back[0] ** decim, n // decim - valid_stop)
         tail_l22 = []
     block = min(decim * max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n)
-    # z: unit normals (z_u, z_s) per window, a short last one too; zraw the
-    # draws, then two window buffers. nodes: r at the block's nodes, row 0 carried.
-    n_z = -(-block // decim)
+    # z: unit normals (z_u, z_s) per window; zraw the draws, then two window
+    # buffers. nodes: r at the block's nodes, row 0 carried.
+    n_z = block // decim
     z, zraw, step = np.empty((n_z, 2, lanes, 2)), np.empty(n_z * lanes * 4), np.empty((lanes, 2))
     tmp, known = zraw.reshape(2, n_z, lanes, 2)
-    nodes = np.zeros((block // decim + 1, lanes, 2))
+    nodes = np.zeros((n_z + 1, lanes, 2))
     lap("chunk_setup")
-
-    def window_sums(j, r_j, zw, alpha, l21, l22):
-        """Windows j, j + 1, ... of zw: alpha r_j + l21 z_u + l22 z_s into
-        rb_dec before J; past it, alpha r_j + l21 z_u into the tail row."""
-        h = min(max(valid_stop - j, 0), len(zw))
-        np.multiply(r_j[:h], alpha, out=rb_dec[j:j + h])
-        _add_weighted(rb_dec[j:j + h], zw[:h], np.stack([l21, l22], axis=1)[:h], tmp[:h])
-        if h < len(zw):
-            w = tail_w[j + h - valid_stop:j + len(zw) - valid_stop]  # A^(j - J)
-            rows = known[:len(w)]
-            np.multiply(r_j[h:], (w * alpha)[:, None, None], out=rows)
-            _add_weighted(rows, zw[h:, :1], (w * l21[h:])[:, None], tmp[:len(w)])
-            _add_rows(rb_dec[-1], rows)
-            tail_l22.extend(l22[h:].tolist())
-
     for s0 in range(0, n, block):
         s1 = min(s0 + block, n)
-        m, j0, k = s1 - s0, s0 // decim, (s1 - s0) // decim  # k whole windows
+        j0, k = s0 // decim, (s1 - s0) // decim  # k windows
         c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
-        zb = z[:-(-m // decim)]
+        zb = z[:k]
         dynamics._draw_increments(gens, 1.0, zb[:, 0], zraw)
         if retrodict and j0 < valid_stop:
             dynamics._draw_increments(s_gens, 1.0, zb[:valid_stop - j0, 1], zraw)
         lap("draws")
         u = nodes[1:k + 1]
-        wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
+        wu, ws, alpha = _window_weights(amp.reshape(k, decim), efac, c * dt, *back)
         l11, l21, l22 = _window_factors(wu, ws, dt)
-        np.multiply(zb[:k, 0], l11[:, None, None], out=u)
+        np.multiply(zb[:, 0], l11[:, None, None], out=u)
         lap("window_sums")
         e_win = efac ** decim
         for i in range(k):
@@ -430,12 +418,18 @@ def _compute_chunk(args):
         lap("fold")
         if retrodict:
             rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
-            # Window sums start from alpha r_j; a short last window has its own weights.
-            window_sums(j0, nodes[:k], zb[:k], alpha, l21, l22)
-            if m > k * decim:
-                wu, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
-                window_sums(j0 + k, nodes[k:k + 1], zb[k:], alpha,
-                            *_window_factors(wu, ws, dt)[1:])
+            # Window sums alpha r_j + l21 z_u + l22 z_s into rb_dec before J;
+            # past it, alpha r_j + l21 z_u into the tail row.
+            h = min(max(valid_stop - j0, 0), k)
+            np.multiply(nodes[:h], alpha, out=rb_dec[j0:j0 + h])
+            _add_weighted(rb_dec[j0:j0 + h], zb[:h], np.stack([l21, l22], axis=1)[:h], tmp[:h])
+            if h < k:
+                w = tail_w[j0 + h - valid_stop:j0 + k - valid_stop]  # A^(j - J)
+                rows = known[:len(w)]
+                np.multiply(nodes[h:k], (w * alpha)[:, None, None], out=rows)
+                _add_weighted(rows, zb[h:, :1], (w * l21[h:])[:, None], tmp[:len(w)])
+                _add_rows(rb_dec[-1], rows)
+                tail_l22.extend(l22[h:].tolist())
             lap("window_sums")
         nodes[0] = nodes[k]
     if retrodict:
@@ -461,7 +455,8 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     """(photocurrent residual, filter inversion max, window route max rel):
     the route checks of an ensemble, on trajectory 0 drawn per step.
 
-    The step helpers of simulate_trajectory and filter_record run it on the
+    grid.n_steps is a multiple of decim, as in _compute_chunk. The step
+    helpers of simulate_trajectory and filter_record run it on the
     midpoint variances v_mids, on Python floats; the window route forms its
     node means and window sums from the same increments and, with
     retrodiction (valid_stop not None), the tail r_b[J] = sum_{j >= J}
@@ -470,7 +465,7 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     |difference| / max |per-step value| of these pairs. No value depends on
     n_traj, chunking or worker count.
     """
-    n, dt, k = grid.n_steps, grid.dt, grid.n_steps // decim  # k whole windows
+    n, dt, k = grid.n_steps, grid.dt, grid.n_steps // decim  # k windows
     c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
     dw, gen = np.empty((n, 1, 2)), dynamics.trajectory_rng(master_seed, 0)
     dynamics._draw_increments([gen], dt, dw, np.empty_like(dw))
@@ -483,22 +478,18 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     # The window route: u_j per window, then the node recursion.
     retrodict = valid_stop is not None
     back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
-    wins = dw[:k * decim].reshape(k, decim, 1, 2)
-    wu, ws, alpha = _window_weights(amp[:k * decim].reshape(k, decim), efac, c * dt, *back)
+    wins = dw.reshape(k, decim, 1, 2)
+    wu, ws, alpha = _window_weights(amp.reshape(k, decim), efac, c * dt, *back)
     nodes, tmp, e_win = np.zeros((k + 1, 1, 2)), np.empty((k, 1, 2)), efac ** decim
     _add_weighted(nodes[1:], wins, wu, tmp)
     for i in range(k):
         nodes[i + 1] += nodes[i] * e_win
     pairs = [(nodes[1:], r[decim::decim])]
     if retrodict:
-        ref, sums = np.zeros((2, k + (n > k * decim), 1, 2))
+        ref, sums = np.zeros((2, k, 1, 2))
         estimation._window_sums(ref, idt, *back, decim)
-        np.multiply(nodes[:k], alpha, out=sums[:k])
-        _add_weighted(sums[:k], wins, ws, tmp)
-        if n > k * decim:  # the short last window, with its own weights
-            _, ws, alpha = _window_weights(amp[k * decim:][None], efac, c * dt, *back)
-            np.multiply(nodes[k:], alpha, out=sums[k:])
-            _add_weighted(sums[k:], dw[k * decim:][None], ws, tmp[:1])
+        np.multiply(nodes[:k], alpha, out=sums)
+        _add_weighted(sums, wins, ws, tmp)
         pairs.append((sums, ref))
         tail, rows = np.zeros((1, 2)), sums[valid_stop:]
         _add_rows(tail, rows * _tail_weights(back[0] ** decim, len(rows))[:, None, None])
@@ -518,19 +509,24 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
 
     Trajectory j uses stream index j under master_seed, so any sub-ensemble
     is bit-reproducible in isolation, and no bit depends on chunk_size or
-    n_workers. The Riccati series is solved once for every chunk. Chunks run
-    here or, for n_workers > 1 (0 = one per available CPU), in a process
-    pool; each hands back its exact sums and display lanes only. The
-    backward filter runs only when "reconstruct" is configured; then the
-    measurement-off limit eta_det = 0 raises RegimeError.
+    n_workers. The grid is config.grid() cut back to whole decimation
+    windows, ending at grid_out's last node: a horizon that ends inside a
+    window runs as the horizon floored to that node, and the retrodiction
+    starts there, from r_b = 0. The Riccati series is solved once on it for
+    every chunk. Chunks run here or, for n_workers > 1 (0 = one per
+    available CPU), in a process pool; each hands back its exact sums and
+    display lanes only. The backward filter runs only when "reconstruct" is
+    configured; then the measurement-off limit eta_det = 0 raises
+    RegimeError.
     """
     p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
         raise ValidationError(f"an ensemble needs n_traj >= 2, got {n_traj}")
     retrodict = "reconstruct" in config.pipelines
+    grid_out = _decimated(grid, decimation)
+    grid = replace(grid, n_steps=grid_out.n_steps * decimation)  # whole windows
     v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
-    grid_out = _decimated(grid, decimation)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
     n_kept, size = min(config.n_display, n_traj), config.chunk_size
     jobs = [(p, grid, v_nodes, v_mids, config.master_seed, lo, min(lo + size, n_traj),
@@ -730,8 +726,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "files": sorted(os.listdir(staging)),
         }
         if ens is not None:
-            manifest["lane_steps_per_s"] = (config.n_traj * config.grid().n_steps
-                                            / stage_s["simulate"])
+            manifest["lane_steps_per_s"] = (config.n_traj * ens.grid_out.n_steps
+                                            * config.decimation / stage_s["simulate"])
             manifest["kernel_layer_s"] = ens.layer_s
         with _Stage("emit"):
             write_json(os.path.join(staging, "manifest.json"), manifest)

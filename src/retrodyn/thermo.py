@@ -41,7 +41,6 @@ __all__ = [
     "differential_gain",
     "phonon_noise_rate",
     "unconditional_rates",
-    "entropy_rate_fd",
     "ensemble_average_rates",
     "write_rates_csv",
 ]
@@ -153,14 +152,6 @@ class EnsembleRates:
     stderr_phi_c: np.ndarray
     stderr_pi_c: np.ndarray
     n_samples: int
-
-
-def entropy_rate_fd(s_w, dt: float):
-    """Finite-difference dS/dt, central in the interior, O(dt^2) at the edges.
-
-    Secondary check only; the analytic rate is information_rate(V).
-    """
-    return np.gradient(np.asarray(s_w, dtype=float), dt, edge_order=2)
 
 
 def ensemble_average_rates(theta, v, grid: TimeGrid, p: PhysParams) -> EnsembleRates:

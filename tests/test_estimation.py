@@ -70,8 +70,8 @@ class TestForwardFilter:
     def test_batched_record_matches_loop(self, params):
         # One lane runs its recursions on Python floats, a batch on arrays:
         # the bits must agree. The record spans more than two float blocks
-        # and ends in a ragged one.
-        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2 * _FLOAT_BLOCK + 301)
+        # and ends in a ragged one, on whole windows of 7 steps (190).
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2 * _FLOAT_BLOCK + 306)
         batch = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, 20, [0, 1])
         r0 = [0.25, -1.5]
         r_hat = rd.forward_filter(batch.photocurrent, params, g, v_series=batch.v, r0=r0)
@@ -123,7 +123,8 @@ class TestBackwardFilter:
 
 
 # The step counts of the chunk-kernel tests: a ragged last block, shorter
-# than one block, not a multiple of 7 or 10, exactly one block.
+# than one block, not a multiple of 7 or 10 (an ensemble floors such a
+# horizon to whole windows), exactly one block.
 KERNEL_STEPS = (2 * BLOCK + 500, BLOCK // 3, BLOCK + 503, BLOCK)
 
 
@@ -135,8 +136,8 @@ def _kernel_records(params, n_steps):
 
 def _window_backward(photocurrent, params, g, decimation):
     """r_b at every decimation-th node as the ensemble kernel composes it:
-    the window sums of the record (_window_sums), then the backward steps
-    over them with afac^D."""
+    the window sums of a record of whole windows (_window_sums), then the
+    backward steps over them with afac^D."""
     idt = estimation._time_major_increments(photocurrent, g)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
     out = np.zeros((g.n_steps // decimation + 1,) + idt.shape[1:])
@@ -164,9 +165,10 @@ class TestDecimatedBackwardFilter:
 
     @pytest.mark.parametrize("n_steps, decimation",
                              [(n, d) for n in KERNEL_STEPS for d in (7, 10)]
-                             + [(BLOCK // 3, BLOCK)])   # one partial window
+                             + [(BLOCK, BLOCK)])   # one window
     def test_window_nodes_match_the_per_step_nodes(self, params, n_steps, decimation):
-        g, i = _kernel_records(params, n_steps)
+        # On the horizon floored to whole windows, as an ensemble runs it.
+        g, i = _kernel_records(params, n_steps // decimation * decimation)
         full = rd.backward_filter(i, params, g)
         out = _window_backward(i, params, g, decimation)
         assert out.shape == (i.shape[0], n_steps // decimation + 1, 2)

@@ -214,6 +214,7 @@ class TestEnsembleBundle:
         cfg = _config(params, g, 7, 3, decimation=10, chunk_size=3)
         b = collect_ensemble(cfg)
         d, theta = _chunk_lanes(cfg)
+        assert b.valid_stop > 0
         ev = rd.difference_variance([_difference_path(b.grid_out, d)])
         own = estimation._pooled_difference_variance(
             b.d_moments.variance(), b.d_moments.count, b.grid_out, 0)
@@ -304,7 +305,9 @@ class TestChunkKernel:
                                       n_traj, chunk_size):
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=n_steps)
         b = _collect(params, g, n_traj, 21, decimation=decimation, chunk_size=chunk_size)
-        # The route check runs trajectory 0 per step as the public path does.
+        # The route check runs trajectory 0 per step as the public path does,
+        # on the horizon floored to whole windows.
+        g = replace(g, n_steps=b.grid_out.n_steps * decimation)
         traj = rd.simulate_trajectory(params, g, rd.derive_rates(params).v_uc, 21, 0)
         r_hat = rd.forward_filter(traj.photocurrent, params, g, v_series=traj.v)
         assert _bitwise_equal(b.v_out, traj.v[::decimation])
@@ -315,11 +318,11 @@ class TestChunkKernel:
 
     def test_d_lanes_are_the_same_in_any_chunk(self, params, small_blocks):
         # Blocks of 462 steps (3 lanes), 700 steps (2 lanes) and 280 steps (5
-        # lanes) leave a ragged last one; chunks of 3 do not divide 5 lanes;
-        # decimation 7 does not divide 12003 steps.
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
+        # lanes) each leave a ragged last block of the 12005 steps (1715
+        # windows of 7); chunks of 3 do not divide 5 lanes.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12005)
         v, mids = _chunk_inputs(params, g)
-        n_nodes, stop = 12003 // 7 + 1, estimation._valid_stop(params, pipeline._decimated(g, 7))
+        n_nodes, stop = 12005 // 7 + 1, estimation._valid_stop(params, pipeline._decimated(g, 7))
 
         def chunk(lo, hi, valid_stop):
             return _kernel_lanes((params, g, v, mids, 21, lo, hi, 7, valid_stop))
@@ -374,10 +377,10 @@ class TestChunkKernel:
         # lanes passes 2^63: the kernel's int64 sums keep one row per
         # _LANE_BLOCK (2048) lanes, so one chunk of 7000 lanes sums to what
         # seven of 1000 do.
-        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105)
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=110)
         v, mids = _chunk_inputs(params, g)
 
-        def sums(lo, hi):  # valid_stop 6 of 11 nodes: a tail of 5 windows
+        def sums(lo, hi):  # valid_stop 6 of 12 nodes: a tail of 5 windows
             return pipeline._compute_chunk((params, g, v, mids, 5, lo, hi, 10, 6, 0))[2]
 
         whole, merged = sums(0, 7000), (estimation._ExactMoments(), estimation._ExactMoments())
@@ -448,14 +451,16 @@ def _mutated_weights(monkeypatch, mutate):
 class TestWindowRouteRecord:
     """window_route_max_rel fails when the window route is wrong."""
 
-    # 1503 steps: decimation 7 leaves a short last window of 5 steps.
-    GRID = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=1503)
+    # 12005 steps: 1715 windows of 7, of which the 1381 from valid_stop
+    # (334) on reach r_b through the tail.
+    GRID = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12005)
 
     def _record(self, params):
         return _collect(params, self.GRID, 3, 21, decimation=7,
                         chunk_size=2).window_route_max_rel
 
     def test_intact_route_passes(self, params):
+        assert estimation._valid_stop(params, pipeline._decimated(self.GRID, 7)) == 334
         assert 0.0 < self._record(params) <= pipeline.WINDOW_ROUTE_TOL
 
     def test_window_sum_without_alpha_term_fails(self, params, monkeypatch):
@@ -464,20 +469,6 @@ class TestWindowRouteRecord:
             return wu, ws, 0.0 * alpha
 
         _mutated_weights(monkeypatch, no_alpha)
-        assert self._record(params) > pipeline.WINDOW_ROUTE_TOL
-
-    def test_short_window_with_full_window_weights_fails(self, params, monkeypatch):
-        def full_width(real, amp_w, *args):
-            width = amp_w.shape[1]
-            if width == 7:
-                return real(amp_w, *args)
-            # The short last window weighted as the head of a full window.
-            wu, ws, alpha = real(np.pad(amp_w, ((0, 0), (0, 7 - width)), mode="edge"),
-                                 *args)
-            return wu[:, :width], ws[:, :width], alpha
-
-        assert self.GRID.n_steps % 7 == 5
-        _mutated_weights(monkeypatch, full_width)
         assert self._record(params) > pipeline.WINDOW_ROUTE_TOL
 
     def test_tail_with_a_power_of_a_off_by_one_fails(self, params, monkeypatch):
@@ -491,9 +482,8 @@ def _window_law_z(params):
     covariance G: var u, var (S - alpha r), their covariance and the residual
     variance of S - alpha r given u, each pooled over lanes, components and
     windows as a mean of unit-variance terms (standard error sqrt(2 / n))."""
-    # 105 steps: ten full windows and a short one of 5 steps, whose S only
-    # the terminal r_b shows.
-    g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=105), 10, 2000
+    # 110 steps: eleven windows, every node valid, r_b = 0 at the last.
+    g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=110), 10, 2000
     v, mids = _chunk_inputs(params, g)
     job = (params, g, v, mids, 5, 0, lanes, decim, g.n_steps // decim + 1)  # every node valid
     d = _kernel_lanes(job)[0]
@@ -505,18 +495,14 @@ def _window_law_z(params):
     r_b = r - d
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
-    full = pipeline._window_weights(amp[:100].reshape(10, decim), efac, c * g.dt, afac, bcoef)
-    short = pipeline._window_weights(amp[100:][None], efac, c * g.dt, afac, bcoef)
-    g11, g12, g22 = (np.concatenate([g.dt * np.sum(w[i] * w[j], axis=1) for w in (full, short)])
-                     for i, j in ((0, 0), (0, 1), (1, 1)))
-    alpha = np.array([full[2]] * 10 + [short[2]])[:, None]
+    wu, ws, alpha = pipeline._window_weights(amp.reshape(11, decim), efac, c * g.dt, afac, bcoef)
+    g11, g12, g22 = (g.dt * np.sum(x * y, axis=1)[:, None]
+                     for x, y in ((wu, wu), (wu, ws), (ws, ws)))
     u = r[:, 1:] - efac ** decim * r[:, :-1]
-    s = np.concatenate([r_b[:, :-1] - afac ** decim * r_b[:, 1:], r_b[:, -1:]], axis=1)
-    s = s - alpha * r  # (lanes, windows, 2); window 10 has no u
-    a, b = u / np.sqrt(g11[:10, None]), s / np.sqrt(g22[:, None])
-    rho = g12 / np.sqrt(g11 * g22)
-    e = (s[:, :10] - (g12 / g11)[:10, None] * u) / np.sqrt(g22 - g12 ** 2 / g11)[:10, None]
-    terms = (a * a - 1.0, b * b - 1.0, a * b[:, :10] - rho[:10, None], e * e - 1.0)
+    s = r_b[:, :-1] - afac ** decim * r_b[:, 1:] - alpha * r[:, :-1]  # (lanes, windows, 2)
+    a, b = u / np.sqrt(g11), s / np.sqrt(g22)
+    e = (s - g12 / g11 * u) / np.sqrt(g22 - g12 ** 2 / g11)
+    terms = (a * a - 1.0, b * b - 1.0, a * b - g12 / np.sqrt(g11 * g22), e * e - 1.0)
     return [float(np.mean(t) / np.sqrt(2.0 / t.size)) for t in terms]
 
 
@@ -549,11 +535,11 @@ class TestWindowDrawnLanes:
         assert max(map(abs, _window_law_z(params))) > LAW_Z
 
     def test_block_lengths_leave_the_bytes_alone(self, params, monkeypatch):
-        # Decimation 7 leaves a 5-step last window of 1503 steps. At 2100
-        # pairs per block buffer, a block of 8 lanes holds 131 windows (2
-        # pairs per lane each), of 5 lanes 210, each with a ragged last
-        # block; a block of 3 lanes holds the whole record.
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=1503)
+        # 12005 steps, 1715 windows of 7, with valid_stop 334. At 2100 pairs
+        # per block buffer, a block of 8 lanes holds 131 windows (2 pairs per
+        # lane each), of 5 lanes 210 and of 3 lanes 350, each with a ragged
+        # last block; at 40 pairs, the last 14-step block holds one window.
+        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12005)
         v, mids = _chunk_inputs(params, g)
         stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
         lengths, coefficients = [], dynamics._mean_coefficients
@@ -572,31 +558,15 @@ class TestWindowDrawnLanes:
             monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", pairs)
             runs.append(chunk(0, 8))
         (ref, whole), (mid, mixed), (tiny, single) = runs
-        assert whole == [1503] and mixed == [917, 586] and single == [14] * 107 + [5]
+        assert stop == 334 and ref[0].shape == (8, stop, 2)
+        assert whole == [12005] and mixed == [917] * 13 + [84] and single == [14] * 857 + [7]
         for out in (mid, tiny):
             assert all(map(_bitwise_equal, out, ref))
         monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", 2100)
         (head, h_len), (tail, t_len) = chunk(0, 3), chunk(3, 8)
-        assert h_len == [1503] and t_len == [1470, 33]
+        assert h_len == [2450] * 4 + [2205] and t_len == [1470] * 8 + [245]
         assert _bitwise_equal(np.concatenate([head[0], tail[0]]), ref[0])
         assert _bitwise_equal(np.concatenate([head[1], tail[1]]), ref[1])
-
-    def test_short_last_window_keeps_its_bytes_in_any_block(self, params, monkeypatch):
-        # 12003 steps at decimation 7 leave a valid window (1503 steps leave
-        # none) and a 5-step last window in the tail, whose weights read the
-        # measurement strength: the whole record in one block, a last block
-        # of 82 steps (11 whole windows and the short one), and of 14-step
-        # blocks a last one of the short window alone.
-        g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12003)
-        v, mids = _chunk_inputs(params, g)
-        stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
-        assert 0 < stop and g.n_steps % 7 == 5
-        runs = []
-        for pairs in (10**6, 2100, 40):
-            monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", pairs)
-            sums = pipeline._compute_chunk((params, g, v, mids, 21, 0, 8, 7, stop, 0))[2]
-            runs.append([s.sums.tolist() for s in sums])
-        assert runs[0] == runs[1] == runs[2]
 
     def test_reference_width_chunks_draw_exact_normal_counts(self, params, monkeypatch):
         # 450 lanes at decimation 10, as in the reference run: two blocks of
@@ -638,18 +608,15 @@ def _tail_law_z(params):
     mean and variance 2.
     """
     # Decimation 500 at dt = 2e-7 s gives A = 0.596, far enough from 1 that
-    # a power of A off by one shows. The tail holds windows 2 to 5 and a
-    # short last one of 230 steps.
-    g, decim, stop, lanes = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=3230), 500, 2, 4000
+    # a power of A off by one shows. The tail holds windows 2 to 6.
+    g, decim, stop, lanes = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=3500), 500, 2, 4000
     v, mids = _chunk_inputs(params, g)
     every, tail = (_kernel_lanes((params, g, v, mids, 5, 0, lanes, decim, s))[0]
                    for s in (g.n_steps // decim + 1, stop))
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
-    weights = [pipeline._window_weights(w, efac, c * g.dt, afac, bcoef)
-               for w in (amp[:3000].reshape(6, decim), amp[3000:][None])]
-    g11, g12, g22 = (np.concatenate([g.dt * np.sum(w[i] * w[j], axis=1) for w in weights])
-                     for i, j in ((0, 0), (0, 1), (1, 1)))
+    wu, ws, _ = pipeline._window_weights(amp.reshape(7, decim), efac, c * g.dt, afac, bcoef)
+    g11, g12, g22 = (g.dt * np.sum(x * y, axis=1) for x, y in ((wu, wu), (wu, ws), (ws, ws)))
     l22_sq = g22 - g12 ** 2 / g11  # the variance of S - alpha r given u
     a_win = afac ** decim
     var = sum(a_win ** (2 * (j - stop)) * l22_sq[j] for j in range(stop, len(l22_sq)))
@@ -725,7 +692,7 @@ class TestUnmonitored:
     def test_window_drawn_lanes_keep_theta_at_v(self, tmp_path):
         # No measurement: every factor is 0 (l21 too, where l11 = 0), so u = 0.
         p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
-        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2005)
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2010)
         v, mids = _chunk_inputs(p, g)
         theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None, 6))[1]
         assert _bitwise_equal(theta, np.broadcast_to(v[::10], theta.shape))
@@ -790,6 +757,16 @@ class TestRunDeterminism:
         out_d = tmp_path / "run_d"
         run_experiment(small_config(out_d, chunk_size=SMALL_RUN["n_traj"]))
         assert _read_products(out_a) == _read_products(out_d)
+
+    def test_horizon_inside_a_window_writes_the_floored_bytes(self, first_run, tmp_path):
+        # 13 steps past the last output node, inside the next window of 20:
+        # an ensemble runs on whole windows, so the products are SMALL_RUN's.
+        out_a, _ = first_run
+        out_r = tmp_path / "ragged"
+        cfg = small_config(out_r, t_final=SMALL_RUN["t_final"] + 13 * SMALL_RUN["dt"])
+        assert cfg.grid().n_steps == 20000 + 13
+        run_experiment(cfg)
+        assert _read_products(out_a) == _read_products(out_r)
 
     def test_photocurrent_check_does_not_depend_on_chunking(self, first_run, tmp_path):
         # The route checks run on trajectory 0 outside the chunks, so no
@@ -934,6 +911,7 @@ class TestStreamedRun:
         _, result = first_run
         cfg = result.config
         d, theta = _chunk_lanes(cfg)
+        assert d.shape[1] > 0  # the valid window
         v_out = result.v_riccati
         ev = rd.difference_variance([_difference_path(result.grid_out, d)])
         rates = rd.ensemble_average_rates(theta, v_out, result.grid_out, params)
