@@ -184,8 +184,15 @@ def _backward_steps(r_b, bidt, afac: float) -> None:
 
     r_b has one row more than bidt; r_b[-1] holds the terminal estimate and
     row k receives r_b[k+1] afac + bidt[k], where bidt = sqrt(4 Gamma_meas)
-    V_E i dt, or its window sums with afac^D in place of afac.
+    V_E i dt, or its window sums with afac^D in place of afac. Several lanes
+    run row by row on views bound once, with the same two operations as out=
+    ufuncs into one row of scratch; one lane on Python floats.
     """
+    if r_b[0].size != 2:
+        rows, step = list(r_b), np.empty_like(r_b[0])
+        for nxt, row, x in zip(rows[:0:-1], rows[-2::-1], list(bidt)[::-1]):
+            np.add(np.multiply(nxt, afac, out=step), x, out=row)
+        return
     for rows, xs, _ in _one_lane_blocks(r_b, bidt, reverse=True):
         cur = rows[-1]
         for k in range(len(xs) - 1, -1, -1):

@@ -21,9 +21,10 @@ difference_variance and ensemble_average_rates give them on the same lanes.
 
 An ensemble runs on whole decimation windows: its grid ends at grid_out's
 last node, and a horizon past it runs as the horizon floored to that node.
-A chunk runs as one time-major pass over blocks of those windows, laid out
-(steps, lanes, 2). The prediction filter repeats the synthesis up
-to round-off (r_hat = r), and both are linear in the draws, so every lane
+Their coefficients are formed once per run (_window_plan). A chunk draws
+blocks of windows lane-major and runs each time-major, (windows, lanes, 2),
+a cache-sized tile at a time. The prediction filter repeats the synthesis
+up to round-off (r_hat = r), and both are linear in the draws, so every lane
 takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window j of D
 steps, one weighted sum u_j of its increments carries the means to the next
 node and another, S_j - alpha r_j, completes the retrodiction window sum.
@@ -51,7 +52,7 @@ import shutil
 import sys
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -86,13 +87,16 @@ __all__ = [
 
 #: Trajectories per chunk: the unit of work handed to a worker. Each chunk
 #: reduces to exact sums, so the chunk size leaves the bytes alone.
-DEFAULT_CHUNK_SIZE = 450
+DEFAULT_CHUNK_SIZE = 300
 
-#: (x, y) pairs per buffer of a time-major block of the chunk kernel, which
-#: holds a z_u and a z_s pair of normals per lane and decimation window (z_s
-#: on the windows before valid_stop only): about 3.6 MB whatever the chunk
-#: holds. Rounded to whole decimation windows, blocks leave the bytes alone.
+#: (x, y) pairs per draw block of the chunk kernel, a z_u and a z_s pair per
+#: lane and decimation window, lane-major (z_s before valid_stop only): 3.6
+#: MB whatever the chunk holds. Whole windows: blocks leave the bytes alone.
 _BLOCK_LANE_STEPS = 225_000
+
+#: (lane, window) pairs per tile of a block, run time-major: about 170 KB
+#: per (x, y) buffer, so a tile stays in cache. Tiles leave the bytes alone.
+_TILE_LANE_WINDOWS = 10_800
 
 #: Bound on window_route_max_rel, the two routes' difference on trajectory
 #: 0 (_route_check): round-off.
@@ -337,111 +341,133 @@ def _tail_sd(w, l22) -> float:
 #: which start at 0 (dynamics.trajectory_rng).
 _Z_S_COUNTER = (0, 0, 0, 1)
 
+#: An ensemble's coefficients, formed once per run (_window_plan).
+_WindowPlan = namedtuple("_WindowPlan", "c amp efac back wu ws alpha e_win a_win l11 lw "
+                         "tail_w tail_alpha tail_l21 tail_sd")
+
+
+def _window_plan(p: PhysParams, grid: TimeGrid, v_nodes, decim: int, valid_stop: int | None):
+    """The _WindowPlan of grid's windows of D = decim steps on the Riccati
+    nodes v_nodes: per step (c, amp, efac) (_mean_coefficients), back =
+    (afac, bcoef) ((0, 0) without retrodiction, valid_stop None) and (wu, ws,
+    alpha) (_window_weights); per window l11, lw = (l21, l22)
+    (_window_factors), e_win = efac^D, a_win = A = afac^D and, for j >= J =
+    valid_stop, tail_w = A^(j - J) (_tail_weights) times alpha and times l21
+    and tail_sd (_tail_sd). Each is elementwise per window, as in blocks."""
+    v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
+    c, amp, efac = dynamics._mean_coefficients(p, grid.dt, v_mids)
+    back = (0.0, 0.0) if valid_stop is None else estimation._backward_coefficients(p, grid.dt)
+    wu, ws, alpha = _window_weights(amp.reshape(-1, decim), efac, c * grid.dt, *back)
+    l11, l21, l22 = _window_factors(wu, ws, grid.dt)
+    stop = len(l11) if valid_stop is None else valid_stop  # no tail without retrodiction
+    tail_w = _tail_weights(back[0] ** decim, len(l11) - stop)
+    return _WindowPlan(c, amp, efac, back, wu, ws, alpha, efac ** decim, back[0] ** decim,
+                       l11, np.stack([l21, l22], axis=1), tail_w, tail_w * alpha,
+                       tail_w * l21[stop:], _tail_sd(tail_w, l22[stop:]))
+
+
+def _draw_lanes(gens, out) -> None:
+    """Each lane's next unit normals into its row of out: one call per lane."""
+    for gen, row in zip(gens, out):
+        gen.standard_normal(out=row)
+
 
 def _compute_chunk(args):
     """Simulate, filter and decimate one chunk of trajectories into exact sums.
 
     grid.n_steps is a multiple of D = decim (collect_ensemble cuts the grid
-    there). One time-major pass over blocks of whole windows takes the
-    window route (_window_weights): per window j, u_j = l11 z_u and S_j =
-    alpha r_j + l21 z_u + l22 z_s (_window_factors), x and y of each. Each
-    lane draws z_u on every window from its trajectory_rng generator, and,
-    with retrodiction, z_s from its key at _Z_S_COUNTER on the windows j < J
-    = valid_stop only. Past J a window reaches the valid nodes only through
-    r_b[J] = sum_{j >= J} A^(j - J) S_j, A = afac^D: its known part alpha
-    r_j + l21 z_u is added forward into that row as the nodes are made, and
-    its z_s parts, independent of all else, sum to one tail normal per lane
-    and component of standard deviation sqrt(sum A^(2 (j - J)) l22_j^2),
-    drawn last from the z_s generator. The sums (layer "fold") take each block's
-    theta rows as they are made, and d = r_hat - r_b, time-major, after the
-    backward steps over J windows.
+    there), and plan is the run's _window_plan. The chunk takes the window
+    route (_window_weights): per window j, u_j = l11 z_u and S_j = alpha r_j
+    + l21 z_u + l22 z_s (_window_factors), x and y of each. Each lane draws
+    z_u on every window from its trajectory_rng generator, and, with
+    retrodiction, z_s from its key at _Z_S_COUNTER on the windows j < J =
+    valid_stop only, lane-major, one call per block (_draw_lanes). Past J a
+    window reaches the valid nodes only through r_b[J] = sum_{j >= J} A^(j -
+    J) S_j, A = afac^D: its known part alpha r_j + l21 z_u is added forward
+    into that row as the nodes are made, and its z_s parts, independent of
+    all else, sum to one tail normal per lane and component of standard
+    deviation sqrt(sum A^(2 (j - J)) l22_j^2), drawn last from the z_s
+    generator. The rest runs time-major, (windows, lanes, 2), one tile of a
+    block's windows at a time; the sums (layer "fold") take each tile's
+    theta rows, and d = r_hat - r_b after the backward steps over J windows.
 
     Returns (lo, theta, sums, layer_s): the lanes below n_kept, (lanes,
     nodes); the _ExactMoments of d on the valid nodes (none without
     retrodiction, valid_stop None) and of theta about V; seconds per kernel
     layer. Results depend only on args, not on the worker.
     """
-    p, grid, v_nodes, v_mids, master_seed, lo, hi, decim, valid_stop, n_kept = args
+    p, grid, v_nodes, plan, master_seed, lo, hi, decim, valid_stop, n_kept = args
     layer_s, clock = Counter(), [time.perf_counter()]
 
     def lap(layer):
         clock.append(time.perf_counter())
         layer_s[layer] += clock[-1] - clock[-2]
 
-    n, dt, lanes = grid.n_steps, grid.dt, hi - lo
+    n_win, lanes = grid.n_steps // decim, hi - lo
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
     v_out, retrodict = v_nodes[::decim], valid_stop is not None
     theta = np.full((max(min(n_kept, hi) - lo, 0), len(v_out)), v_out[0])  # r(0) = 0
     sums = _ExactMoments(), thermo._theta_moments(v_out, p)
     part = sums[1].partial(lanes, v_out.shape)  # theta's node 0, at V, sums to 0
-    # afac, bcoef; without retrodiction, zeros weight the unused window sums.
-    back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
+    stop = valid_stop if retrodict else 0  # z_s on the windows before stop
     if retrodict:
         s_gens = [dynamics._philox(master_seed, s, _Z_S_COUNTER) for s in range(lo, hi)]
         rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
-        # Window sums before J, the tail at J; then r_b.
-        rb_dec = np.zeros((valid_stop + 1, lanes, 2))
-        tail_w = _tail_weights(back[0] ** decim, n // decim - valid_stop)
-        tail_l22 = []
-    block = min(decim * max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n)
-    # z: unit normals (z_u, z_s) per window; zraw the draws, then two window
-    # buffers. nodes: r at the block's nodes, row 0 carried.
-    n_z = block // decim
-    z, zraw, step = np.empty((n_z, 2, lanes, 2)), np.empty(n_z * lanes * 4), np.empty((lanes, 2))
-    tmp, known = zraw.reshape(2, n_z, lanes, 2)
-    nodes = np.zeros((n_z + 1, lanes, 2))
+        rb_dec = np.zeros((valid_stop + 1, lanes, 2))  # window sums, the tail; r_b
+    # A block of n_z windows: the draws z = (z_u, z_s), lane-major. A tile of
+    # n_t: the pairs zt, time-major, two window buffers, and r at the tile's
+    # nodes (row 0 carried), also as row views.
+    n_z = min(max(1, _BLOCK_LANE_STEPS // (2 * lanes)), n_win)
+    n_t = min(max(1, _TILE_LANE_WINDOWS // lanes), n_z)
+    z, zt = np.empty((2, lanes, n_z, 2)), np.empty((n_t, 2, lanes, 2))
+    (tmp, known), nodes = np.empty((2, n_t, lanes, 2)), np.zeros((n_t + 1, lanes, 2))
+    rows, step = list(nodes), np.empty((lanes, 2))
     lap("chunk_setup")
-    for s0 in range(0, n, block):
-        s1 = min(s0 + block, n)
-        j0, k = s0 // decim, (s1 - s0) // decim  # k windows
-        c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids[s0:s1])
-        zb = z[:k]
-        dynamics._draw_increments(gens, 1.0, zb[:, 0], zraw)
-        if retrodict and j0 < valid_stop:
-            dynamics._draw_increments(s_gens, 1.0, zb[:valid_stop - j0, 1], zraw)
+    for j0 in range(0, n_win, n_z):
+        k = min(n_z, n_win - j0)  # k windows
+        _draw_lanes(gens, z[0, :, :k])
+        if j0 < stop:
+            _draw_lanes(s_gens, z[1, :, :min(k, stop - j0)])
         lap("draws")
-        u = nodes[1:k + 1]
-        wu, ws, alpha = _window_weights(amp.reshape(k, decim), efac, c * dt, *back)
-        l11, l21, l22 = _window_factors(wu, ws, dt)
-        np.multiply(zb[:, 0], l11[:, None, None], out=u)
-        lap("window_sums")
-        e_win = efac ** decim
-        for i in range(k):
-            np.add(np.multiply(nodes[i], e_win, out=step), u[i], out=u[i])
-        lap("node_recursion")
-        # theta = V + (u_x^2 + u_y^2) / 2, time-major in the window buffers.
-        sq, rows = np.multiply(u, u, out=tmp[:k]), known.reshape(-1)[:k * lanes].reshape(k, lanes)
-        np.add(np.multiply(np.add(sq[..., 0], sq[..., 1], out=rows), 0.5, out=rows),
-               v_out[j0 + 1:j0 + k + 1, None], out=rows)
-        theta[:, j0 + 1:j0 + k + 1] = rows[:, :len(theta)].T
-        sums[1].fold(part, rows.T, j0 + 1)
-        lap("fold")
-        if retrodict:
-            rh_dec[j0 + 1:j0 + k + 1] = u[:max(min(k, len(rh_dec) - j0 - 1), 0)]
-            # Window sums alpha r_j + l21 z_u + l22 z_s into rb_dec before J;
-            # past it, alpha r_j + l21 z_u into the tail row.
-            h = min(max(valid_stop - j0, 0), k)
-            np.multiply(nodes[:h], alpha, out=rb_dec[j0:j0 + h])
-            _add_weighted(rb_dec[j0:j0 + h], zb[:h], np.stack([l21, l22], axis=1)[:h], tmp[:h])
-            if h < k:
-                w = tail_w[j0 + h - valid_stop:j0 + k - valid_stop]  # A^(j - J)
-                rows = known[:len(w)]
-                np.multiply(nodes[h:k], (w * alpha)[:, None, None], out=rows)
-                _add_weighted(rows, zb[h:, :1], (w * l21[h:])[:, None], tmp[:len(w)])
-                _add_rows(rb_dec[-1], rows)
-                tail_l22.extend(l22[h:].tolist())
+        for t0 in range(0, k, n_t):
+            j, t = j0 + t0, min(n_t, k - t0)  # windows j to j + t - 1, h before J
+            h, zs, u = min(max(stop - j, 0), t), zt[:t], nodes[1:t + 1]
+            dynamics._swap_pairs(z[0, :, t0:t0 + t], zs[:, 0])
+            dynamics._swap_pairs(z[1, :, t0:t0 + h], zs[:h, 1])
+            np.multiply(zs[:, 0], plan.l11[j:j + t, None, None], out=u)
             lap("window_sums")
-        nodes[0] = nodes[k]
+            for prev, cur in zip(rows[:t], rows[1:t + 1]):
+                np.add(np.multiply(prev, plan.e_win, out=step), cur, out=cur)
+            lap("node_recursion")
+            # theta = V + (u_x^2 + u_y^2) / 2, time-major in a window buffer.
+            sq, ths = np.multiply(u, u, out=tmp[:t]), known.reshape(-1)[:t * lanes]
+            ths = np.add(sq[..., 0], sq[..., 1], out=ths.reshape(t, lanes))
+            np.add(np.multiply(ths, 0.5, out=ths), v_out[j + 1:j + t + 1, None], out=ths)
+            theta[:, j + 1:j + t + 1] = ths[:, :len(theta)].T
+            sums[1].fold(part, ths.T, j + 1)
+            lap("fold")
+            if retrodict:
+                rh_dec[j + 1:j + t + 1] = u[:max(min(t, valid_stop - j - 1), 0)]
+                # Window sums alpha r_j + l21 z_u + l22 z_s into rb_dec before
+                # J; past it, A^(j - J) (alpha r_j + l21 z_u) into the tail row.
+                np.multiply(nodes[:h], plan.alpha, out=rb_dec[j:j + h])
+                _add_weighted(rb_dec[j:j + h], zs[:h], plan.lw[j:j + h], tmp[:h])
+                if h < t:
+                    w, tail = slice(j + h - valid_stop, j + t - valid_stop), known[:t - h]
+                    np.multiply(nodes[h:t], plan.tail_alpha[w, None, None], out=tail)
+                    _add_weighted(tail, zs[h:, :1], plan.tail_l21[w, None], tmp[:t - h])
+                    _add_rows(rb_dec[-1], tail)
+                lap("window_sums")
+            nodes[0] = nodes[t]
     if retrodict:
         # The tail normal, drawn where window J's z_s would be.
-        dynamics._draw_increments(s_gens, 1.0, z[:1, 1], zraw)
-        rb_dec[-1] += _tail_sd(tail_w, tail_l22) * z[0, 1]
+        _draw_lanes(s_gens, z[1, :, :1])
+        rb_dec[-1] += plan.tail_sd * z[1, :, 0]
         lap("draws")
-    # Free the block buffers, and every view of them, before d.
-    del z, zraw, tmp, known, step, nodes, zb, u, sq, rows
-    if retrodict:
+        # Free the block and tile buffers, and every view of them, before d.
+        del z, zt, tmp, known, nodes, rows, step, zs, u, sq, ths
         # In place: each window sum is read just before its r_b replaces it.
-        estimation._backward_steps(rb_dec, rb_dec[:-1], back[0] ** decim)
+        estimation._backward_steps(rb_dec, rb_dec[:-1], plan.a_win)
         d = np.subtract(rh_dec, rb_dec[:valid_stop], out=rh_dec)  # time-major
         lap("backward_steps")
         sums[0].add(d.transpose(1, 0, 2))  # lane-major tile by tile
@@ -450,23 +476,22 @@ def _compute_chunk(args):
     return lo, theta, sums, layer_s
 
 
-def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim: int,
+def _route_check(plan: _WindowPlan, grid: TimeGrid, master_seed: int, decim: int,
                  valid_stop: int | None):
     """(photocurrent residual, filter inversion max, window route max rel):
     the route checks of an ensemble, on trajectory 0 drawn per step.
 
-    grid.n_steps is a multiple of decim, as in _compute_chunk. The step
-    helpers of simulate_trajectory and filter_record run it on the
-    midpoint variances v_mids, on Python floats; the window route forms its
-    node means and window sums from the same increments and, with
-    retrodiction (valid_stop not None), the tail r_b[J] = sum_{j >= J}
+    grid and plan are those of _compute_chunk. The step helpers of
+    simulate_trajectory and filter_record run it on the plan's per-step
+    coefficients, on Python floats; the window route forms its node means
+    and window sums from the same increments with the plan's weights and,
+    with retrodiction (valid_stop not None), the tail r_b[J] = sum_{j >= J}
     A^(j - J) S_j, J = valid_stop, summed forward as _compute_chunk sums it,
     against the per-step r_b at node J. The third value is the largest max
     |difference| / max |per-step value| of these pairs. No value depends on
     n_traj, chunking or worker count.
     """
-    n, dt, k = grid.n_steps, grid.dt, grid.n_steps // decim  # k windows
-    c, amp, efac = dynamics._mean_coefficients(p, dt, v_mids)
+    n, dt, k, c, amp, efac = grid.n_steps, grid.dt, grid.n_steps // decim, *plan[:3]
     dw, gen = np.empty((n, 1, 2)), dynamics.trajectory_rng(master_seed, 0)
     dynamics._draw_increments([gen], dt, dw, np.empty_like(dw))
     r, r_hat = np.zeros((2, n + 1, 1, 2))
@@ -476,27 +501,24 @@ def _route_check(p: PhysParams, grid: TimeGrid, v_mids, master_seed: int, decim:
     idt = photo * dt
     estimation._forward_steps(r_hat, idt, amp, efac, c, dt)
     # The window route: u_j per window, then the node recursion.
-    retrodict = valid_stop is not None
-    back = estimation._backward_coefficients(p, dt) if retrodict else (0.0, 0.0)
     wins = dw.reshape(k, decim, 1, 2)
-    wu, ws, alpha = _window_weights(amp.reshape(k, decim), efac, c * dt, *back)
-    nodes, tmp, e_win = np.zeros((k + 1, 1, 2)), np.empty((k, 1, 2)), efac ** decim
-    _add_weighted(nodes[1:], wins, wu, tmp)
+    nodes, tmp = np.zeros((k + 1, 1, 2)), np.empty((k, 1, 2))
+    _add_weighted(nodes[1:], wins, plan.wu, tmp)
     for i in range(k):
-        nodes[i + 1] += nodes[i] * e_win
+        nodes[i + 1] += nodes[i] * plan.e_win
     pairs = [(nodes[1:], r[decim::decim])]
-    if retrodict:
+    if valid_stop is not None:
         ref, sums = np.zeros((2, k, 1, 2))
-        estimation._window_sums(ref, idt, *back, decim)
-        np.multiply(nodes[:k], alpha, out=sums)
-        _add_weighted(sums, wins, ws, tmp)
+        estimation._window_sums(ref, idt, *plan.back, decim)
+        np.multiply(nodes[:k], plan.alpha, out=sums)
+        _add_weighted(sums, wins, plan.ws, tmp)
         pairs.append((sums, ref))
-        tail, rows = np.zeros((1, 2)), sums[valid_stop:]
-        _add_rows(tail, rows * _tail_weights(back[0] ** decim, len(rows))[:, None, None])
+        tail = np.zeros((1, 2))
+        _add_rows(tail, sums[valid_stop:] * plan.tail_w[:, None, None])
         # The per-step retrodiction filter from r_b(T) = 0 back to node J.
         r_b = np.zeros((n - valid_stop * decim + 1, 1, 2))
-        np.multiply(idt[n + 1 - len(r_b):], back[1], out=r_b[:-1])
-        estimation._backward_steps(r_b, r_b[:-1], back[0])
+        np.multiply(idt[n + 1 - len(r_b):], plan.back[1], out=r_b[:-1])
+        estimation._backward_steps(r_b, r_b[:-1], plan.back[0])
         pairs.append((tail, r_b[0]))
     rel = [np.abs(a - b).max(initial=0.0) / (np.abs(b).max(initial=0.0) or 1.0)
            for a, b in pairs]
@@ -512,12 +534,12 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     n_workers. The grid is config.grid() cut back to whole decimation
     windows, ending at grid_out's last node: a horizon that ends inside a
     window runs as the horizon floored to that node, and the retrodiction
-    starts there, from r_b = 0. The Riccati series is solved once on it for
-    every chunk. Chunks run here or, for n_workers > 1 (0 = one per
-    available CPU), in a process pool; each hands back its exact sums and
-    display lanes only. The backward filter runs only when "reconstruct" is
-    configured; then the measurement-off limit eta_det = 0 raises
-    RegimeError.
+    starts there, from r_b = 0. The Riccati series and the window plan
+    (_window_plan) are formed once on it for every chunk. Chunks run here
+    or, for n_workers > 1 (0 = one per available CPU), in a process pool;
+    each hands back its exact sums and display lanes only. The backward
+    filter runs only when "reconstruct" is configured; then the
+    measurement-off limit eta_det = 0 raises RegimeError.
     """
     p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
@@ -526,16 +548,16 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     grid_out = _decimated(grid, decimation)
     grid = replace(grid, n_steps=grid_out.n_steps * decimation)  # whole windows
     v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
-    v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
+    plan = _window_plan(p, grid, v_nodes, decimation, valid_stop)
     n_kept, size = min(config.n_display, n_traj), config.chunk_size
-    jobs = [(p, grid, v_nodes, v_mids, config.master_seed, lo, min(lo + size, n_traj),
+    jobs = [(p, grid, v_nodes, plan, config.master_seed, lo, min(lo + size, n_traj),
              decimation, valid_stop, n_kept) for lo in range(0, n_traj, size)]
     bundle = EnsembleBundle(
         grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
         theta=np.empty((n_kept, grid_out.n_steps + 1)))
     t0 = time.perf_counter()
-    checks = _route_check(p, grid, v_mids, config.master_seed, decimation, valid_stop)
+    checks = _route_check(plan, grid, config.master_seed, decimation, valid_stop)
     bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
     bundle.layer_s["route_check"] = time.perf_counter() - t0
     n_workers = config.n_workers
@@ -725,10 +747,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "peak_rss_mb": _peak_rss_mb(),
             "files": sorted(os.listdir(staging)),
         }
-        if ens is not None:
-            manifest["lane_steps_per_s"] = (config.n_traj * ens.grid_out.n_steps
-                                            * config.decimation / stage_s["simulate"])
-            manifest["kernel_layer_s"] = ens.layer_s
+        if ens is not None:  # the ensemble ran on whole windows (collect_ensemble)
+            steps = ens.grid_out.n_steps * config.decimation
+            manifest.update(ensemble_steps=steps, ensemble_t_final=ens.grid_out.t_final,
+                            lane_steps_per_s=config.n_traj * steps / stage_s["simulate"],
+                            kernel_layer_s=ens.layer_s)
         with _Stage("emit"):
             write_json(os.path.join(staging, "manifest.json"), manifest)
             files.update((n, os.path.join(config.out_dir, n))

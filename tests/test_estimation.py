@@ -179,6 +179,26 @@ class TestDecimatedBackwardFilter:
         single = _window_backward(i[1], params, g, decimation)
         assert single.tobytes() == out[1].tobytes()
 
+    @pytest.mark.parametrize("lanes", [1, 2, 7])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["series", "in-place"])
+    def test_lanes_step_as_one_lane_floats(self, lanes, in_place):
+        # Several lanes take the two operations per element as out= ufuncs,
+        # row by row; one lane takes them on Python floats, _FLOAT_BLOCK rows
+        # at a time. Over 2 _FLOAT_BLOCK + 77 rows (a ragged last block), each
+        # lane gets the same bits either way, whether its series is an array
+        # of its own or the rows r_b replaces, as the chunk kernel runs it.
+        rng = np.random.default_rng(11)
+        n, afac = 2 * _FLOAT_BLOCK + 77, 0.9993
+        r_b = rng.standard_normal((n + 1, lanes, 2)) * rng.uniform(0.0, 1e3, (n + 1, 1, 1))
+        series = r_b[:-1].copy()
+        ref = []
+        for j in range(lanes):
+            one = r_b[:, j:j + 1].copy()
+            estimation._backward_steps(one, one[:-1] if in_place else series[:, j:j + 1], afac)
+            ref.append(one)
+        estimation._backward_steps(r_b, r_b[:-1] if in_place else series, afac)
+        assert _bitwise_equal(r_b, np.concatenate(ref, axis=1))
+
 
 def _manual_path(grid, r_hat, r_b, valid):
     return rd.FilteredPath(grid=grid, r_hat=np.asarray(r_hat, float),

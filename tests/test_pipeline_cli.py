@@ -59,7 +59,7 @@ class TestConfig:
         cfg = default_config()
         assert cfg.dt == 1e-7 and cfg.t_final == 3e-3
         assert cfg.n_traj == 3600 and cfg.master_seed == 1234
-        assert cfg.decimation == 10 and cfg.chunk_size == 450
+        assert cfg.decimation == 10 and cfg.chunk_size == 300
         assert cfg.pipelines == ("reconstruct", "thermo", "fullmodel")
         assert cfg.mode == "exact" and cfg.tail_fraction == 0.20
 
@@ -250,20 +250,26 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", 2 * 2 * BLOCK // 10)
 
 
-def _chunk_inputs(params, g):
-    """The Riccati nodes and midpoints a chunk of grid g reads."""
-    v = dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
-    return v, dynamics.conditional_variance_midpoints(params, v, g.dt)
+def _riccati_nodes(params, g):
+    """The Riccati nodes a chunk of grid g reads."""
+    return dynamics.solve_conditional_variance(params, g, rd.derive_rates(params).v_uc)
+
+
+def _job(p, g, v, master_seed, lo, hi, decim, valid_stop, n_kept=0):
+    """The _compute_chunk job of lanes lo to hi, with the window plan
+    collect_ensemble forms, built now: a helper patched before the call
+    reaches the plan."""
+    plan = pipeline._window_plan(p, g, v, decim, valid_stop)
+    return p, g, v, plan, master_seed, lo, hi, decim, valid_stop, n_kept
 
 
 def _kernel_lanes(args):
-    """(d, theta) of every lane of the chunk (p, grid, v_nodes, v_mids,
-    master_seed, lo, hi, decim, valid_stop) as _compute_chunk folds them,
-    recorded from what _ExactMoments.fold is handed; d is None without
-    retrodiction. The chunk keeps every lane for display, and those lanes
-    must be the theta it folds (node 0, V on every lane, it does not
-    fold)."""
-    grid, lo, hi, decim, stop = args[1], args[5], args[6], args[7], args[8]
+    """(d, theta) of every lane of the chunk (p, grid, v_nodes, master_seed,
+    lo, hi, decim, valid_stop) as _compute_chunk folds them, recorded from
+    what _ExactMoments.fold is handed; d is None without retrodiction. The
+    chunk keeps every lane for display, and those lanes must be the theta it
+    folds (node 0, V on every lane, it does not fold)."""
+    grid, lo, hi, decim, stop = args[1], args[4], args[5], args[6], args[7]
     d = None if stop is None else np.full((hi - lo, stop, 2), np.nan)
     theta = np.full((hi - lo, grid.n_steps // decim + 1), np.nan)
     fold = estimation._ExactMoments.fold
@@ -275,7 +281,7 @@ def _kernel_lanes(args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimation._ExactMoments, "fold", recording)
-        shown = pipeline._compute_chunk((*args, hi))[1]
+        shown = pipeline._compute_chunk(_job(*args, hi))[1]
     theta[:, 0] = shown[:, 0]
     assert _bitwise_equal(shown, theta)
     assert d is None or not np.isnan(d).any()
@@ -288,7 +294,7 @@ def _chunk_lanes(cfg):
     g, p = cfg.grid(), cfg.params
     stop = (estimation._valid_stop(p, pipeline._decimated(g, cfg.decimation))
             if "reconstruct" in cfg.pipelines else None)
-    return _kernel_lanes((p, g, *_chunk_inputs(p, g), cfg.master_seed, 0, cfg.n_traj,
+    return _kernel_lanes((p, g, _riccati_nodes(p, g), cfg.master_seed, 0, cfg.n_traj,
                           cfg.decimation, stop))
 
 
@@ -321,11 +327,11 @@ class TestChunkKernel:
         # lanes) each leave a ragged last block of the 12005 steps (1715
         # windows of 7); chunks of 3 do not divide 5 lanes.
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12005)
-        v, mids = _chunk_inputs(params, g)
+        v = _riccati_nodes(params, g)
         n_nodes, stop = 12005 // 7 + 1, estimation._valid_stop(params, pipeline._decimated(g, 7))
 
         def chunk(lo, hi, valid_stop):
-            return _kernel_lanes((params, g, v, mids, 21, lo, hi, 7, valid_stop))
+            return _kernel_lanes((params, g, v, 21, lo, hi, 7, valid_stop))
 
         d, theta = chunk(0, 5, stop)
         assert 0 < stop < n_nodes and d.shape == (5, stop, 2)
@@ -341,7 +347,7 @@ class TestChunkKernel:
         # A chunk keeps one retrodiction window sum per valid output node,
         # 1067 of 3001. One array with a row per step would be full_res
         # (28.80 MB) on its own. The peak, with the sums the chunk folds its
-        # lanes into, was measured at 14.74 MB (13.74 MB once the caches are
+        # lanes into, was measured at 9.59 MB (8.59 MB once the caches are
         # warm); the bound leaves 0.96 MB above that, less than the 1.86 MB
         # that window sums on every node would add.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
@@ -353,24 +359,38 @@ class TestChunkKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15.7e6 < full_res
+        assert peak < 10.55e6 < full_res
 
-    def test_reference_width_chunk_holds_no_theta_lanes(self, params):
-        # One chunk of the reference run: 450 lanes, 30 000 steps, decimation
-        # 10. It holds r_hat and the window sums on the 1067 valid nodes (15.4
-        # MB) and the block buffers (9 MB), and sums theta and d as they are
-        # made: 27.30 MB measured. Theta on every lane and node would add
-        # 10.8 MB.
+    @staticmethod
+    def _reference_chunk_peak(params, lanes):
+        """Peak traced bytes of one chunk of lanes lanes on the reference
+        grid (30 000 steps, decimation 10, 1067 valid nodes); the run's
+        window plan is formed outside it, once per run."""
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
-        v, mids = _chunk_inputs(params, g)
         stop = estimation._valid_stop(params, pipeline._decimated(g, 10))
+        job = _job(params, g, _riccati_nodes(params, g), 1234, 0, lanes, 10, stop, 10)
         tracemalloc.start()
         try:
-            pipeline._compute_chunk((params, g, v, mids, 1234, 0, 450, 10, stop, 10))
+            pipeline._compute_chunk(job)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stop == 1067 and peak <= 30e6
+        assert stop == 1067
+        return peak
+
+    def test_reference_width_chunk_holds_no_theta_lanes(self, params):
+        # 450 lanes, the former default width. The chunk holds r_hat and the
+        # window sums on the valid nodes (15.4 MB), a draw block (3.6 MB) and
+        # one tile's buffers, and sums theta and d as they are made: 21.14 MB
+        # measured (21.90 MB cold). Theta on every lane and node would add
+        # 10.8 MB, a time-major copy of the draw block 3.6 MB.
+        assert self._reference_chunk_peak(params, 450) <= 23.5e6
+
+    def test_default_width_chunk_scales_with_its_lanes(self, params):
+        # 300 lanes, the default width: the valid-node rows fall to 10.2 MB
+        # and the draw block stays at 3.6 MB. 15.83 MB measured.
+        assert pipeline.DEFAULT_CHUNK_SIZE == 300
+        assert self._reference_chunk_peak(params, 300) <= 17.5e6
 
     def test_chunks_past_the_int64_lane_bound_keep_their_sums(self, params):
         # The sum of lo^2 (lo < 2^26, about 2^52 / 3 on average) over 7000
@@ -378,10 +398,10 @@ class TestChunkKernel:
         # _LANE_BLOCK (2048) lanes, so one chunk of 7000 lanes sums to what
         # seven of 1000 do.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=110)
-        v, mids = _chunk_inputs(params, g)
+        v = _riccati_nodes(params, g)
 
         def sums(lo, hi):  # valid_stop 6 of 12 nodes: a tail of 5 windows
-            return pipeline._compute_chunk((params, g, v, mids, 5, lo, hi, 10, 6, 0))[2]
+            return pipeline._compute_chunk(_job(params, g, v, 5, lo, hi, 10, 6))[2]
 
         whole, merged = sums(0, 7000), (estimation._ExactMoments(), estimation._ExactMoments())
         for lo in range(0, 7000, 1000):
@@ -484,8 +504,9 @@ def _window_law_z(params):
     windows as a mean of unit-variance terms (standard error sqrt(2 / n))."""
     # 110 steps: eleven windows, every node valid, r_b = 0 at the last.
     g, decim, lanes = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=110), 10, 2000
-    v, mids = _chunk_inputs(params, g)
-    job = (params, g, v, mids, 5, 0, lanes, decim, g.n_steps // decim + 1)  # every node valid
+    v = _riccati_nodes(params, g)
+    mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+    job = (params, g, v, 5, 0, lanes, decim, g.n_steps // decim + 1)  # every node valid
     d = _kernel_lanes(job)[0]
     # The same draws with bcoef = 0 zero every window sum and so r_b: d = r.
     with pytest.MonkeyPatch.context() as mp:
@@ -536,62 +557,69 @@ class TestWindowDrawnLanes:
 
     def test_block_lengths_leave_the_bytes_alone(self, params, monkeypatch):
         # 12005 steps, 1715 windows of 7, with valid_stop 334. At 2100 pairs
-        # per block buffer, a block of 8 lanes holds 131 windows (2 pairs per
+        # per draw block, a block of 8 lanes holds 131 windows (2 pairs per
         # lane each), of 5 lanes 210 and of 3 lanes 350, each with a ragged
-        # last block; at 40 pairs, the last 14-step block holds one window.
+        # last block; at 40 pairs, 2 windows and a last block of one. Tiles
+        # of 400 (lane, window) pairs hold 50 windows of 8 lanes (the tile
+        # of windows 312 to 361 holds J), 80 of 5 and 133 of 3; tiles of 1
+        # pair hold one window.
         g = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=12005)
-        v, mids = _chunk_inputs(params, g)
+        v = _riccati_nodes(params, g)
         stop = estimation._valid_stop(params, pipeline._decimated(g, 7))
-        lengths, coefficients = [], dynamics._mean_coefficients
+        tiles, swap = [], dynamics._swap_pairs
 
-        def per_block(p, dt, v_mids):  # called once per block, on its midpoints
-            lengths.append(len(v_mids))
-            return coefficients(p, dt, v_mids)
+        def per_tile(x, out=None):  # twice per tile: its z_u, then its z_s
+            tiles.append(x.shape[1])
+            return swap(x, out)
 
-        def chunk(lo, hi):
-            lengths.clear()
-            return _kernel_lanes((params, g, v, mids, 21, lo, hi, 7, stop)), list(lengths)
-
-        monkeypatch.setattr(dynamics, "_mean_coefficients", per_block)
-        runs = []
-        for pairs in (10**6, 2100, 40):
+        def chunk(lo, hi, pairs, tile):
             monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", pairs)
-            runs.append(chunk(0, 8))
-        (ref, whole), (mid, mixed), (tiny, single) = runs
-        assert stop == 334 and ref[0].shape == (8, stop, 2)
-        assert whole == [12005] and mixed == [917] * 13 + [84] and single == [14] * 857 + [7]
-        for out in (mid, tiny):
+            monkeypatch.setattr(pipeline, "_TILE_LANE_WINDOWS", tile)
+            tiles.clear()
+            return _kernel_lanes((params, g, v, 21, lo, hi, 7, stop)), tiles[::2]
+
+        monkeypatch.setattr(dynamics, "_swap_pairs", per_tile)
+        (ref, whole), *runs = (chunk(0, 8, pairs, tile) for pairs, tile in
+                               ((10**6, 10**6), (2100, 400), (2100, 1), (40, 10**6)))
+        assert stop == 334 and ref[0].shape == (8, stop, 2) and whole == [1715]
+        assert [t for _, t in runs] == [[50, 50, 31] * 13 + [12], [1] * 1715, [2] * 857 + [1]]
+        for out, _ in runs:
             assert all(map(_bitwise_equal, out, ref))
-        monkeypatch.setattr(pipeline, "_BLOCK_LANE_STEPS", 2100)
-        (head, h_len), (tail, t_len) = chunk(0, 3), chunk(3, 8)
-        assert h_len == [2450] * 4 + [2205] and t_len == [1470] * 8 + [245]
+        (head, h_len), (tail, t_len) = chunk(0, 3, 2100, 400), chunk(3, 8, 2100, 400)
+        assert h_len == [133, 133, 84] * 4 + [133, 133, 49]
+        assert t_len == [80, 80, 50] * 8 + [35]
         assert _bitwise_equal(np.concatenate([head[0], tail[0]]), ref[0])
         assert _bitwise_equal(np.concatenate([head[1], tail[1]]), ref[1])
 
     def test_reference_width_chunks_draw_exact_normal_counts(self, params, monkeypatch):
-        # 450 lanes at decimation 10, as in the reference run: two blocks of
-        # 250 windows.
+        # 500 windows of 10 steps in blocks of 250 windows at 450 lanes, the
+        # former default width, and of 375 at 300 lanes, the default.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=5000)
-        v, mids = _chunk_inputs(params, g)
-        calls, draw = [], dynamics._draw_increments
+        v = _riccati_nodes(params, g)
+        calls, draw = [], pipeline._draw_lanes
 
-        def counted(gens, dt, out, raw):
+        def counted(gens, out):
             # Normals per lane, then the top Philox counter word of the
             # lanes' generators: 0 for z_u, 1 for z_s and the tail normal.
             words = {int(gen.bit_generator.state["state"]["counter"][3]) for gen in gens}
             calls.append((out.size // len(gens), *words))
-            draw(gens, dt, out, raw)
+            draw(gens, out)
 
-        monkeypatch.setattr(dynamics, "_draw_increments", counted)
-        # Thermo only: 2 z_u normals per window, and no z_s.
-        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, None, 0))
-        assert calls == [(500, 0), (500, 0)]
-        # Retrodicting with J = 300 valid nodes: z_s on windows 0 to 299 and
-        # then one tail pair, 2 J + 2 normals per lane, against 2 K = 1000 z_u.
-        calls.clear()
-        pipeline._compute_chunk((params, g, v, mids, 5, 0, 450, 10, 300, 0))
-        assert calls == [(500, 0), (500, 1), (500, 0), (100, 1), (2, 1)]
-        assert [sum(n for n, word in calls if word == w) for w in (0, 1)] == [1000, 602]
+        monkeypatch.setattr(pipeline, "_draw_lanes", counted)
+        for lanes, thermo_calls, calls_at_300 in (
+                (450, [(500, 0), (500, 0)], [(500, 0), (500, 1), (500, 0), (100, 1), (2, 1)]),
+                (300, [(750, 0), (250, 0)], [(750, 0), (600, 1), (250, 0), (2, 1)])):
+            # Thermo only: 2 z_u normals per window, and no z_s.
+            calls.clear()
+            pipeline._compute_chunk(_job(params, g, v, 5, 0, lanes, 10, None))
+            assert calls == thermo_calls
+            # Retrodicting with J = 300 valid nodes: z_s on windows 0 to 299
+            # and then one tail pair, 2 J + 2 normals per lane, against 2 K =
+            # 1000 z_u.
+            calls.clear()
+            pipeline._compute_chunk(_job(params, g, v, 5, 0, lanes, 10, 300))
+            assert calls == calls_at_300
+            assert [sum(n for n, word in calls if word == w) for w in (0, 1)] == [1000, 602]
 
 
 def _tail_law_z(params):
@@ -610,8 +638,9 @@ def _tail_law_z(params):
     # Decimation 500 at dt = 2e-7 s gives A = 0.596, far enough from 1 that
     # a power of A off by one shows. The tail holds windows 2 to 6.
     g, decim, stop, lanes = rd.TimeGrid(t0=0.0, dt=2e-7, n_steps=3500), 500, 2, 4000
-    v, mids = _chunk_inputs(params, g)
-    every, tail = (_kernel_lanes((params, g, v, mids, 5, 0, lanes, decim, s))[0]
+    v = _riccati_nodes(params, g)
+    mids = dynamics.conditional_variance_midpoints(params, v, g.dt)
+    every, tail = (_kernel_lanes((params, g, v, 5, 0, lanes, decim, s))[0]
                    for s in (g.n_steps // decim + 1, stop))
     c, amp, efac = dynamics._mean_coefficients(params, g.dt, mids)
     afac, bcoef = estimation._backward_coefficients(params, g.dt)
@@ -693,8 +722,8 @@ class TestUnmonitored:
         # No measurement: every factor is 0 (l21 too, where l11 = 0), so u = 0.
         p = rd.PhysParams(**{**vars(rd.default_params()), "eta_det": 0.0})
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=2010)
-        v, mids = _chunk_inputs(p, g)
-        theta = pipeline._compute_chunk((p, g, v, mids, 3, 0, 6, 10, None, 6))[1]
+        v = _riccati_nodes(p, g)
+        theta = pipeline._compute_chunk(_job(p, g, v, 3, 0, 6, 10, None, 6))[1]
         assert _bitwise_equal(theta, np.broadcast_to(v[::10], theta.shape))
         cfg = _write_cfg(tmp_path / "eta0.cfg", (
             "gamma_m_hz = 19\nn_th = 14\ngamma_qba_hz = 360\neta_det = 0\n"
@@ -839,8 +868,10 @@ class TestRunDeterminism:
         out, _ = first_run
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert set(manifest) == {"config", "versions", "wall_time_s", "stage_wall_s",
-                                 "peak_rss_mb", "lane_steps_per_s", "kernel_layer_s",
-                                 "files"}
+                                 "peak_rss_mb", "ensemble_steps", "ensemble_t_final",
+                                 "lane_steps_per_s", "kernel_layer_s", "files"}
+        assert manifest["ensemble_steps"] == 20000
+        assert manifest["ensemble_t_final"] == pytest.approx(SMALL_RUN["t_final"], rel=1e-12)
         assert manifest["config"]["n_traj"] == 40
         assert manifest["config"]["master_seed"] == 77
         assert set(manifest["versions"]) == {"python", "numpy", "retrodyn"}
@@ -850,6 +881,21 @@ class TestRunDeterminism:
             SMALL_RUN["n_traj"] * round(SMALL_RUN["t_final"] / SMALL_RUN["dt"])
             / manifest["stage_wall_s"]["simulate"], rel=1e-12)
         assert manifest["files"] == sorted(DETERMINISTIC_FILES)
+
+    def test_manifest_names_the_horizon_that_ran(self, tmp_path):
+        # 30 007 steps of 0.1 us at decimation 10: the ensemble runs the 30 000
+        # steps of 3000 whole windows, and the manifest records them beside
+        # the configured horizon it echoes.
+        out = tmp_path / "ragged"
+        cfg = small_config(out, dt=1e-7, t_final=3.0007e-3, decimation=10)
+        assert cfg.grid().n_steps == 30007
+        run_experiment(cfg)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["t_final"] == 3.0007e-3
+        assert manifest["ensemble_steps"] == 30000
+        assert manifest["ensemble_t_final"] == pytest.approx(3e-3, rel=1e-12)
+        assert manifest["lane_steps_per_s"] == pytest.approx(
+            40 * 30000 / manifest["stage_wall_s"]["simulate"], rel=1e-12)
 
     def test_manifest_records_stages_and_peak_rss(self, tmp_path):
         out = tmp_path / "one_chunk"
@@ -1019,7 +1065,7 @@ class TestStagesAndEmit:
         assert result.ev is None and result.rates is None
         # No ensemble ran, so there is no throughput to report.
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        assert "lane_steps_per_s" not in manifest
+        assert not {"ensemble_steps", "ensemble_t_final", "lane_steps_per_s"} & set(manifest)
         with pytest.raises(rd.ValidationError, match="fig1"):
             emit_figure_data(result, "fig1")
         with pytest.raises(rd.ValidationError, match="fig2"):
