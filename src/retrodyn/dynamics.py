@@ -32,8 +32,8 @@ same loop on Python floats instead (_one_lane_blocks), which performs the
 same IEEE operations without numpy's per-call cost on a 2-element row. The
 step helpers (_draw_increments, _synthesis_steps, _photocurrent) are the one
 implementation of the synthesis; simulate_batch runs them over the whole
-grid and returns lane-major arrays, and the route check of an ensemble in
-retrodyn.pipeline runs them on its trajectory 0.
+grid and returns lane-major arrays. The route check of an ensemble in
+retrodyn.pipeline takes its trajectory 0 from simulate_trajectory.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ blocks; a single record runs the recursions on Python floats
 (dynamics._one_lane_blocks). forward_filter and backward_filter move the
 time axis to the front, run them over the whole record and move it back;
 the ensemble kernel in retrodyn.pipeline runs _backward_steps on its window
-sums, and its route check the other two on trajectory 0.
+sums, and its route check runs forward_filter, backward_filter and
+_window_sums on trajectory 0.
 """
 
 from __future__ import annotations

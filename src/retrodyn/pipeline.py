@@ -37,14 +37,15 @@ valid_stop, outside the backward burn-in, and a window j >= J reaches them
 only through r_b[J] = sum_{j >= J} A^(j - J) S_j. So z_s is drawn on the
 windows before J only, and the z_s terms past J, independent of everything
 else, sum to one tail normal per lane and component: 2 K + 2 J + 2 normals
-per lane for K windows, and 2 K without retrodiction. _route_check runs
-trajectory 0 once per step through the step helpers of simulate_batch and
-both filters and checks both routes on it, the tail included (checks.json);
-the products do not read it.
+per lane for K windows, and 2 K without retrodiction. A chunk job is the
+plan and a lane range. _route_check takes trajectory 0 from
+simulate_trajectory, filters it with forward_filter and backward_filter and
+checks both routes on it, the tail included (checks.json).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import platform
@@ -254,7 +255,8 @@ class EnsembleBundle:
     n_traj) lanes, shape (n_kept, n_out + 1); no other lane is kept. grid_out
     is the decimated grid; v_out the Riccati solution on it. The check values
     come from _route_check; layer_s sums the seconds per layer of the chunks
-    (_compute_chunk, whose sums are "fold") and of the route check.
+    (_compute_chunk, whose sums are "fold") and of trajectory 0, its window
+    plan and its route check ("route_check").
     """
 
     grid_out: TimeGrid
@@ -341,19 +343,23 @@ def _tail_sd(w, l22) -> float:
 #: which start at 0 (dynamics.trajectory_rng).
 _Z_S_COUNTER = (0, 0, 0, 1)
 
-#: An ensemble's coefficients, formed once per run (_window_plan).
-_WindowPlan = namedtuple("_WindowPlan", "c amp efac back wu ws alpha e_win a_win l11 lw "
-                         "tail_w tail_alpha tail_l21 tail_sd")
+#: What a chunk reads of its run, formed once per run (_window_plan): the
+#: keys, the output nodes and the window coefficients, nothing per step.
+_WindowPlan = namedtuple("_WindowPlan", "master_seed valid_stop n_kept v_out theta alpha "
+                         "e_win a_win l11 lw tail_alpha tail_l21 tail_sd")
 
 
-def _window_plan(p: PhysParams, grid: TimeGrid, v_nodes, decim: int, valid_stop: int | None):
+def _window_plan(p: PhysParams, grid: TimeGrid, v_nodes, decim: int, valid_stop: int | None,
+                 master_seed: int, n_kept: int):
     """The _WindowPlan of grid's windows of D = decim steps on the Riccati
-    nodes v_nodes: per step (c, amp, efac) (_mean_coefficients), back =
-    (afac, bcoef) ((0, 0) without retrodiction, valid_stop None) and (wu, ws,
-    alpha) (_window_weights); per window l11, lw = (l21, l22)
+    nodes v_nodes, and the weights (back, wu, ws, tail_w) only the route
+    check reads: from the per-step (c, amp, efac) (_mean_coefficients) and
+    back = (afac, bcoef) ((0, 0) without retrodiction, valid_stop None), (wu,
+    ws, alpha) (_window_weights); per window l11, lw = (l21, l22)
     (_window_factors), e_win = efac^D, a_win = A = afac^D and, for j >= J =
     valid_stop, tail_w = A^(j - J) (_tail_weights) times alpha and times l21
-    and tail_sd (_tail_sd). Each is elementwise per window, as in blocks."""
+    and tail_sd (_tail_sd); theta's empty sums (thermo._theta_moments). Each
+    is elementwise per window, as in blocks."""
     v_mids = dynamics.conditional_variance_midpoints(p, v_nodes, grid.dt)
     c, amp, efac = dynamics._mean_coefficients(p, grid.dt, v_mids)
     back = (0.0, 0.0) if valid_stop is None else estimation._backward_coefficients(p, grid.dt)
@@ -361,9 +367,11 @@ def _window_plan(p: PhysParams, grid: TimeGrid, v_nodes, decim: int, valid_stop:
     l11, l21, l22 = _window_factors(wu, ws, grid.dt)
     stop = len(l11) if valid_stop is None else valid_stop  # no tail without retrodiction
     tail_w = _tail_weights(back[0] ** decim, len(l11) - stop)
-    return _WindowPlan(c, amp, efac, back, wu, ws, alpha, efac ** decim, back[0] ** decim,
-                       l11, np.stack([l21, l22], axis=1), tail_w, tail_w * alpha,
-                       tail_w * l21[stop:], _tail_sd(tail_w, l22[stop:]))
+    v_out = v_nodes[::decim].copy()
+    plan = _WindowPlan(master_seed, valid_stop, n_kept, v_out, thermo._theta_moments(v_out, p),
+                       alpha, efac ** decim, back[0] ** decim, l11, np.stack([l21, l22], axis=1),
+                       tail_w * alpha, tail_w * l21[stop:], _tail_sd(tail_w, l22[stop:]))
+    return plan, (back, wu, ws, tail_w)
 
 
 def _draw_lanes(gens, out) -> None:
@@ -375,8 +383,8 @@ def _draw_lanes(gens, out) -> None:
 def _compute_chunk(args):
     """Simulate, filter and decimate one chunk of trajectories into exact sums.
 
-    grid.n_steps is a multiple of D = decim (collect_ensemble cuts the grid
-    there), and plan is the run's _window_plan. The chunk takes the window
+    args is (plan, lo, hi): the lanes lo to hi of the run whose _window_plan
+    is plan, on a grid of whole windows of D steps. The chunk takes the window
     route (_window_weights): per window j, u_j = l11 z_u and S_j = alpha r_j
     + l21 z_u + l22 z_s (_window_factors), x and y of each. Each lane draws
     z_u on every window from its trajectory_rng generator, and, with
@@ -396,18 +404,18 @@ def _compute_chunk(args):
     retrodiction, valid_stop None) and of theta about V; seconds per kernel
     layer. Results depend only on args, not on the worker.
     """
-    p, grid, v_nodes, plan, master_seed, lo, hi, decim, valid_stop, n_kept = args
+    plan, lo, hi = args
     layer_s, clock = Counter(), [time.perf_counter()]
 
     def lap(layer):
         clock.append(time.perf_counter())
         layer_s[layer] += clock[-1] - clock[-2]
 
-    n_win, lanes = grid.n_steps // decim, hi - lo
+    master_seed, valid_stop, v_out = plan.master_seed, plan.valid_stop, plan.v_out
+    n_win, lanes, retrodict = len(plan.l11), hi - lo, valid_stop is not None
     gens = [dynamics.trajectory_rng(master_seed, s) for s in range(lo, hi)]
-    v_out, retrodict = v_nodes[::decim], valid_stop is not None
-    theta = np.full((max(min(n_kept, hi) - lo, 0), len(v_out)), v_out[0])  # r(0) = 0
-    sums = _ExactMoments(), thermo._theta_moments(v_out, p)
+    theta = np.full((max(min(plan.n_kept, hi) - lo, 0), len(v_out)), v_out[0])  # r(0) = 0
+    sums = _ExactMoments(), copy.copy(plan.theta)  # theta's sums start empty
     part = sums[1].partial(lanes, v_out.shape)  # theta's node 0, at V, sums to 0
     stop = valid_stop if retrodict else 0  # z_s on the windows before stop
     if retrodict:
@@ -476,53 +484,42 @@ def _compute_chunk(args):
     return lo, theta, sums, layer_s
 
 
-def _route_check(plan: _WindowPlan, grid: TimeGrid, master_seed: int, decim: int,
-                 valid_stop: int | None):
+def _route_check(p: PhysParams, traj, plan: _WindowPlan, back, wu, ws, tail_w):
     """(photocurrent residual, filter inversion max, window route max rel):
-    the route checks of an ensemble, on trajectory 0 drawn per step.
+    the route checks of an ensemble on its trajectory 0 traj, with the plan
+    and weights of _window_plan on traj's grid and Riccati nodes.
 
-    grid and plan are those of _compute_chunk. The step helpers of
-    simulate_trajectory and filter_record run it on the plan's per-step
-    coefficients, on Python floats; the window route forms its node means
-    and window sums from the same increments with the plan's weights and,
-    with retrodiction (valid_stop not None), the tail r_b[J] = sum_{j >= J}
-    A^(j - J) S_j, J = valid_stop, summed forward as _compute_chunk sums it,
-    against the per-step r_b at node J. The third value is the largest max
-    |difference| / max |per-step value| of these pairs. No value depends on
-    n_traj, chunking or worker count.
+    forward_filter runs traj's record on those nodes; the window route forms
+    its node means and window sums from the same increments with the window
+    weights and, with retrodiction (valid_stop not None), the tail r_b[J] =
+    sum_{j >= J} A^(j - J) S_j, J = valid_stop, summed forward as
+    _compute_chunk sums it, against backward_filter's r_b at node D J. The
+    third value is the largest max |difference| / max |per-step value| of
+    these pairs. No value depends on n_traj, chunking or worker count.
     """
-    n, dt, k, c, amp, efac = grid.n_steps, grid.dt, grid.n_steps // decim, *plan[:3]
-    dw, gen = np.empty((n, 1, 2)), dynamics.trajectory_rng(master_seed, 0)
-    dynamics._draw_increments([gen], dt, dw, np.empty_like(dw))
-    r, r_hat = np.zeros((2, n + 1, 1, 2))
-    dynamics._synthesis_steps(r, dw, amp, efac)
-    photo = dynamics._photocurrent(r[:-1], dw, c, dt)
-    residual = dynamics._photocurrent_residual(photo, r[:-1], dw, c, dt)
-    idt = photo * dt
-    estimation._forward_steps(r_hat, idt, amp, efac, c, dt)
-    # The window route: u_j per window, then the node recursion.
-    wins = dw.reshape(k, decim, 1, 2)
+    grid, stop, (k, decim) = traj.grid, plan.valid_stop, wu.shape
+    residual = dynamics._photocurrent_residual(traj.photocurrent, traj.r[:-1], traj.dw,
+                                               dynamics._measurement_strength(p), grid.dt)
+    r_hat = estimation.forward_filter(traj.photocurrent, p, grid, v_series=traj.v)
+    # The window route, on one lane: u_j per window, then the node recursion.
+    wins, r = traj.dw.reshape(k, decim, 1, 2), traj.r[:, None]
     nodes, tmp = np.zeros((k + 1, 1, 2)), np.empty((k, 1, 2))
-    _add_weighted(nodes[1:], wins, plan.wu, tmp)
+    _add_weighted(nodes[1:], wins, wu, tmp)
     for i in range(k):
         nodes[i + 1] += nodes[i] * plan.e_win
     pairs = [(nodes[1:], r[decim::decim])]
-    if valid_stop is not None:
+    if stop is not None:
         ref, sums = np.zeros((2, k, 1, 2))
-        estimation._window_sums(ref, idt, *plan.back, decim)
+        estimation._window_sums(ref, traj.photocurrent[:, None] * grid.dt, *back, decim)
         np.multiply(nodes[:k], plan.alpha, out=sums)
-        _add_weighted(sums, wins, plan.ws, tmp)
+        _add_weighted(sums, wins, ws, tmp)
         pairs.append((sums, ref))
         tail = np.zeros((1, 2))
-        _add_rows(tail, sums[valid_stop:] * plan.tail_w[:, None, None])
-        # The per-step retrodiction filter from r_b(T) = 0 back to node J.
-        r_b = np.zeros((n - valid_stop * decim + 1, 1, 2))
-        np.multiply(idt[n + 1 - len(r_b):], plan.back[1], out=r_b[:-1])
-        estimation._backward_steps(r_b, r_b[:-1], plan.back[0])
-        pairs.append((tail, r_b[0]))
+        _add_rows(tail, sums[stop:] * tail_w[:, None, None])
+        pairs.append((tail, estimation.backward_filter(traj.photocurrent, p, grid)[stop * decim]))
     rel = [np.abs(a - b).max(initial=0.0) / (np.abs(b).max(initial=0.0) or 1.0)
            for a, b in pairs]
-    return residual, float(np.max(np.abs(r_hat - r))), float(max(rel))
+    return residual, float(np.max(np.abs(r_hat - traj.r))), float(max(rel))
 
 
 def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
@@ -534,12 +531,12 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     n_workers. The grid is config.grid() cut back to whole decimation
     windows, ending at grid_out's last node: a horizon that ends inside a
     window runs as the horizon floored to that node, and the retrodiction
-    starts there, from r_b = 0. The Riccati series and the window plan
-    (_window_plan) are formed once on it for every chunk. Chunks run here
-    or, for n_workers > 1 (0 = one per available CPU), in a process pool;
-    each hands back its exact sums and display lanes only. The backward
-    filter runs only when "reconstruct" is configured; then the
-    measurement-off limit eta_det = 0 raises RegimeError.
+    starts there, from r_b = 0. Trajectory 0 (_route_check) brings the one
+    Riccati solve, for the window plan (_window_plan) that every chunk job
+    reads with its lane range. Chunks run here or, for n_workers > 1 (0 =
+    one per available CPU), in a process pool; each hands back its exact
+    sums and display lanes only. The backward filter runs only when
+    "reconstruct" is configured; then eta_det = 0 raises RegimeError.
     """
     p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
@@ -547,19 +544,19 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     retrodict = "reconstruct" in config.pipelines
     grid_out = _decimated(grid, decimation)
     grid = replace(grid, n_steps=grid_out.n_steps * decimation)  # whole windows
-    v_nodes = dynamics.solve_conditional_variance(p, grid, derive_rates(p).v_uc)
     valid_stop = estimation._valid_stop(p, grid_out) if retrodict else None
-    plan = _window_plan(p, grid, v_nodes, decimation, valid_stop)
     n_kept, size = min(config.n_display, n_traj), config.chunk_size
-    jobs = [(p, grid, v_nodes, plan, config.master_seed, lo, min(lo + size, n_traj),
-             decimation, valid_stop, n_kept) for lo in range(0, n_traj, size)]
-    bundle = EnsembleBundle(
-        grid_out=grid_out, v_out=v_nodes[::decimation].copy(), valid_stop=valid_stop,
-        theta=np.empty((n_kept, grid_out.n_steps + 1)))
     t0 = time.perf_counter()
-    checks = _route_check(plan, grid, config.master_seed, decimation, valid_stop)
+    traj = dynamics.simulate_trajectory(p, grid, derive_rates(p).v_uc, config.master_seed)
+    plan, weights = _window_plan(p, grid, traj.v, decimation, valid_stop, config.master_seed,
+                                 n_kept)
+    checks = _route_check(p, traj, plan, *weights)
+    del traj, weights  # before the first chunk
+    bundle = EnsembleBundle(grid_out=grid_out, v_out=plan.v_out, valid_stop=valid_stop,
+                            theta=np.empty((n_kept, grid_out.n_steps + 1)))
     bundle.photocurrent_residual, bundle.inversion_max_abs, bundle.window_route_max_rel = checks
     bundle.layer_s["route_check"] = time.perf_counter() - t0
+    jobs = [(plan, lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size)]
     n_workers = config.n_workers
     if n_workers == 0:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import time
 import tracemalloc
 import types
@@ -259,8 +260,8 @@ def _job(p, g, v, master_seed, lo, hi, decim, valid_stop, n_kept=0):
     """The _compute_chunk job of lanes lo to hi, with the window plan
     collect_ensemble forms, built now: a helper patched before the call
     reaches the plan."""
-    plan = pipeline._window_plan(p, g, v, decim, valid_stop)
-    return p, g, v, plan, master_seed, lo, hi, decim, valid_stop, n_kept
+    plan = pipeline._window_plan(p, g, v, decim, valid_stop, master_seed, n_kept)[0]
+    return plan, lo, hi
 
 
 def _kernel_lanes(args):
@@ -391,6 +392,20 @@ class TestChunkKernel:
         # and the draw block stays at 3.6 MB. 15.83 MB measured.
         assert pipeline.DEFAULT_CHUNK_SIZE == 300
         assert self._reference_chunk_peak(params, 300) <= 17.5e6
+
+    def test_reference_job_holds_nothing_per_step(self, params):
+        # A job is the run's plan and a lane range. The plan's arrays hold
+        # the 3001 output nodes or the 3000 windows, not the 30 000 steps:
+        # 0.14 MB pickled, against 1.08 MB when the per-step coefficients
+        # and window weights travelled with every job.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=30000)
+        stop = estimation._valid_stop(params, pipeline._decimated(g, 10))
+        job = _job(params, g, _riccati_nodes(params, g), 1234, 0, 300, 10, stop, 10)
+        plan, n_win = job[0], 3000
+        arrays = [x for x in (*plan, *vars(plan.theta).values()) if isinstance(x, np.ndarray)]
+        assert len(job) == 3 and job[1:] == (0, 300) and len(arrays) >= 6
+        assert all(len(x) <= n_win + 1 for x in arrays)
+        assert len(pickle.dumps(job)) <= 0.2e6
 
     def test_chunks_past_the_int64_lane_bound_keep_their_sums(self, params):
         # The sum of lo^2 (lo < 2^26, about 2^52 / 3 on average) over 7000
