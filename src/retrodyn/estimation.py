@@ -186,13 +186,14 @@ def _backward_steps(r_b, bidt, afac: float) -> None:
     r_b has one row more than bidt; r_b[-1] holds the terminal estimate and
     row k receives r_b[k+1] afac + bidt[k], where bidt = sqrt(4 Gamma_meas)
     V_E i dt, or its window sums with afac^D in place of afac. Several lanes
-    run row by row on views bound once, with the same two operations as out=
-    ufuncs into one row of scratch; one lane on Python floats.
+    run row by row on views bound once, with the same two operations as
+    ufuncs into one row of scratch, afac 0-d so that no call coerces it; one
+    lane on Python floats.
     """
     if r_b[0].size != 2:
-        rows, step = list(r_b), np.empty_like(r_b[0])
+        rows, step, afac = list(r_b), np.empty_like(r_b[0]), np.asarray(afac)
         for nxt, row, x in zip(rows[:0:-1], rows[-2::-1], list(bidt)[::-1]):
-            np.add(np.multiply(nxt, afac, out=step), x, out=row)
+            np.add(np.multiply(nxt, afac, step), x, row)
         return
     for rows, xs, _ in _one_lane_blocks(r_b, bidt, reverse=True):
         cur = rows[-1]
@@ -288,12 +289,14 @@ class _ExactMoments:
     (Demmel & Nguyen, ARITH 2013); mean() and variance() are each correctly
     rounded from them. shift (V for theta, 0 for d) and spread (V_uc - V, 1)
     are known before the run, so lanes all at shift give mean shift,
-    variance 0. A value 2^22 spreads from shift, or not finite, raises
-    NumericsError.
+    variance 0. Each is one value, or one per node of the first node axis;
+    the grid's scale 2^29 / s is formed with them. A value 2^22 spreads from
+    shift, or not finite, raises NumericsError.
     """
 
     def __init__(self, shift=0.0, spread=1.0):
         self.shift, self.exp, self.count, self.sums = shift, np.frexp(spread)[1], 0, 0
+        self.scale = np.ldexp(1.0, _GRID_BITS + 1 - self.exp)
 
     def add(self, lanes) -> None:
         """Add the lanes lanes[0], lanes[1], ... (the leading axis)."""
@@ -312,14 +315,13 @@ class _ExactMoments:
         first node axis into part (partial): per tile of _LANE_BLOCK lanes and
         _NODE_BLOCK nodes, the int64 sums of q = hi 2^26 + lo (0 <= lo <
         2^26), hi^2, hi lo and lo^2. Only a tile's scratch is made."""
-        scale = np.broadcast_to(np.ldexp(1.0, _GRID_BITS + 1 - self.exp), part.shape[2:])
-        shift = np.broadcast_to(self.shift, part.shape[2:])
         for n0 in range(0, x.shape[1], _NODE_BLOCK):
             nodes = slice(at + n0, at + min(n0 + _NODE_BLOCK, x.shape[1]))
+            shift, scale = (a[nodes] if np.ndim(a) else a for a in (self.shift, self.scale))
             for b, l0 in enumerate(range(0, len(x), _LANE_BLOCK)):
-                f = np.subtract(x[l0:l0 + _LANE_BLOCK, n0:n0 + _NODE_BLOCK], shift[nodes],
+                f = np.subtract(x[l0:l0 + _LANE_BLOCK, n0:n0 + _NODE_BLOCK], shift,
                                 order="C")  # lane-major, whatever x's layout
-                f = np.rint(np.multiply(f, scale[nodes], out=f), out=f)
+                f = np.rint(np.multiply(f, scale, out=f), out=f)
                 top = max(f.max(initial=0.0), -f.min(initial=0.0))  # NaN if any is
                 if not top < 2.0 ** 51:
                     raise NumericsError(
@@ -340,7 +342,7 @@ class _ExactMoments:
 
     def merge(self, other: "_ExactMoments") -> None:
         """Add other's lanes; self takes other's shift and grid."""
-        self.shift, self.exp = other.shift, other.exp
+        self.shift, self.exp, self.scale = other.shift, other.exp, other.scale
         self.count, self.sums = self.count + other.count, self.sums + other.sums
 
     def mean(self) -> np.ndarray:

@@ -22,25 +22,28 @@ difference_variance and ensemble_average_rates give them on the same lanes.
 An ensemble runs on whole decimation windows: its grid ends at grid_out's
 last node, and a horizon past it runs as the horizon floored to that node.
 Their coefficients are formed once per run (_window_plan). A chunk draws
-blocks of windows lane-major and runs each time-major, (windows, lanes, 2),
-a cache-sized tile at a time. The prediction filter repeats the synthesis
-up to round-off (r_hat = r), and both are linear in the draws, so every lane
-takes the window route (Blelloch, CMU-CS-90-190, 1.4): per window j of D
-steps, one weighted sum u_j of its increments carries the means to the next
-node and another, S_j - alpha r_j, completes the retrodiction window sum.
-A lane reads a window only through (u_j, S_j - alpha r_j), a linear map of
-its 2 D independent N(0, dt) increments: exactly normal, independent across
-windows and components, with the 2 x 2 covariance G of _window_factors. So
-every lane draws it in the same law, from two normals z_u and z_s per
-component. The products read r_b only on the valid nodes k < J =
-valid_stop, outside the backward burn-in, and a window j >= J reaches them
-only through r_b[J] = sum_{j >= J} A^(j - J) S_j. So z_s is drawn on the
-windows before J only, and the z_s terms past J, independent of everything
-else, sum to one tail normal per lane and component: 2 K + 2 J + 2 normals
-per lane for K windows, and 2 K without retrodiction. A chunk job is the
-plan and a lane range. _route_check takes trajectory 0 from
-simulate_trajectory, filters it with forward_filter and backward_filter and
-checks both routes on it, the tail included (checks.json).
+blocks of windows lane-major (1.8 MB) and runs each time-major, (windows,
+lanes, 2), a cache-sized tile at a time. The one chunk in flight sets a
+run's peak memory, so chunks are narrow (DEFAULT_CHUNK_SIZE, 150 lanes:
+about 9 MB on the reference grid). The prediction filter repeats the
+synthesis up to round-off (r_hat = r), and both are linear in the draws, so
+every lane takes the window route (Blelloch, CMU-CS-90-190, 1.4): per
+window j of D steps, one weighted sum u_j of its increments carries the
+means to the next node and another, S_j - alpha r_j, completes the
+retrodiction window sum. A lane reads a window only through (u_j, S_j -
+alpha r_j), a linear map of its 2 D independent N(0, dt) increments:
+exactly normal, independent across windows and components, with the 2 x 2
+covariance G of _window_factors. So every lane draws it in the same law,
+from two normals z_u and z_s per component. The products read r_b only on
+the valid nodes k < J = valid_stop, outside the backward burn-in, and a
+window j >= J reaches them only through r_b[J] = sum_{j >= J} A^(j - J)
+S_j. So z_s is drawn on the windows before J only, and the z_s terms past
+J, independent of everything else, sum to one tail normal per lane and
+component: 2 K + 2 J + 2 normals per lane for K windows, and 2 K without
+retrodiction. A chunk job is the plan and a lane range. _route_check takes
+trajectory 0 from simulate_trajectory, filters it with forward_filter and
+backward_filter and checks both routes on it, the tail included
+(checks.json).
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ __all__ = [
 
 #: Trajectories per chunk: the unit of work handed to a worker. Each chunk
 #: reduces to exact sums, so the chunk size leaves the bytes alone.
-DEFAULT_CHUNK_SIZE = 300
+DEFAULT_CHUNK_SIZE = 150
 
 #: (x, y) pairs per draw block of the chunk kernel, a z_u and a z_s pair per
-#: lane and decimation window, lane-major (z_s before valid_stop only): 3.6
-#: MB whatever the chunk holds. Whole windows: blocks leave the bytes alone.
-_BLOCK_LANE_STEPS = 225_000
+#: lane and decimation window, lane-major (z_s before valid_stop only): 1.8
+#: MB whatever the chunk holds, 375 windows (750 normals per Philox call) at
+#: the default width. Whole windows: blocks leave the bytes alone.
+_BLOCK_LANE_STEPS = 112_500
 
 #: (lane, window) pairs per tile of a block, run time-major: about 170 KB
 #: per (x, y) buffer, so a tile stays in cache. Tiles leave the bytes alone.
@@ -430,6 +434,7 @@ def _compute_chunk(args):
     z, zt = np.empty((2, lanes, n_z, 2)), np.empty((n_t, 2, lanes, 2))
     (tmp, known), nodes = np.empty((2, n_t, lanes, 2)), np.zeros((n_t + 1, lanes, 2))
     rows, step = list(nodes), np.empty((lanes, 2))
+    e_win = np.asarray(plan.e_win)  # 0-d, so no ufunc call coerces it
     lap("chunk_setup")
     for j0 in range(0, n_win, n_z):
         k = min(n_z, n_win - j0)  # k windows
@@ -445,7 +450,7 @@ def _compute_chunk(args):
             np.multiply(zs[:, 0], plan.l11[j:j + t, None, None], out=u)
             lap("window_sums")
             for prev, cur in zip(rows[:t], rows[1:t + 1]):
-                np.add(np.multiply(prev, plan.e_win, out=step), cur, out=cur)
+                np.add(np.multiply(prev, e_win, step), cur, cur)
             lap("node_recursion")
             # theta = V + (u_x^2 + u_y^2) / 2, time-major in a window buffer.
             sq, ths = np.multiply(u, u, out=tmp[:t]), known.reshape(-1)[:t * lanes]

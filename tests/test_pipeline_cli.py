@@ -60,7 +60,7 @@ class TestConfig:
         cfg = default_config()
         assert cfg.dt == 1e-7 and cfg.t_final == 3e-3
         assert cfg.n_traj == 3600 and cfg.master_seed == 1234
-        assert cfg.decimation == 10 and cfg.chunk_size == 300
+        assert cfg.decimation == 10 and cfg.chunk_size == 150
         assert cfg.pipelines == ("reconstruct", "thermo", "fullmodel")
         assert cfg.mode == "exact" and cfg.tail_fraction == 0.20
 
@@ -380,18 +380,19 @@ class TestChunkKernel:
         return peak
 
     def test_reference_width_chunk_holds_no_theta_lanes(self, params):
-        # 450 lanes, the former default width. The chunk holds r_hat and the
-        # window sums on the valid nodes (15.4 MB), a draw block (3.6 MB) and
-        # one tile's buffers, and sums theta and d as they are made: 21.14 MB
-        # measured (21.90 MB cold). Theta on every lane and node would add
-        # 10.8 MB, a time-major copy of the draw block 3.6 MB.
-        assert self._reference_chunk_peak(params, 450) <= 23.5e6
+        # 450 lanes, a former default width. The chunk holds r_hat and the
+        # window sums on the valid nodes (15.4 MB), a draw block (1.8 MB) and
+        # one tile's buffers, and sums theta and d as they are made: 20.57
+        # MB measured (21.22 MB cold). Theta on every lane and node would
+        # add 10.8 MB, a time-major copy of the draw block 1.8 MB.
+        assert self._reference_chunk_peak(params, 450) <= 22.0e6
 
     def test_default_width_chunk_scales_with_its_lanes(self, params):
-        # 300 lanes, the default width: the valid-node rows fall to 10.2 MB
-        # and the draw block stays at 3.6 MB. 15.83 MB measured.
-        assert pipeline.DEFAULT_CHUNK_SIZE == 300
-        assert self._reference_chunk_peak(params, 300) <= 17.5e6
+        # 150 lanes, the default width: the valid-node rows fall to 5.1 MB
+        # and the draw block stays at 1.8 MB. 8.68 MB measured; with a
+        # 3.6 MB block a 150-lane chunk peaks at 10.50 MB.
+        assert pipeline.DEFAULT_CHUNK_SIZE == 150
+        assert self._reference_chunk_peak(params, 150) <= 9.5e6
 
     def test_reference_job_holds_nothing_per_step(self, params):
         # A job is the run's plan and a lane range. The plan's arrays hold
@@ -607,8 +608,8 @@ class TestWindowDrawnLanes:
         assert _bitwise_equal(np.concatenate([head[1], tail[1]]), ref[1])
 
     def test_reference_width_chunks_draw_exact_normal_counts(self, params, monkeypatch):
-        # 500 windows of 10 steps in blocks of 250 windows at 450 lanes, the
-        # former default width, and of 375 at 300 lanes, the default.
+        # 500 windows of 10 steps in blocks of 187 windows at 300 lanes, the
+        # former default width, and of 375 at 150 lanes, the default.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=5000)
         v = _riccati_nodes(params, g)
         calls, draw = [], pipeline._draw_lanes
@@ -622,8 +623,9 @@ class TestWindowDrawnLanes:
 
         monkeypatch.setattr(pipeline, "_draw_lanes", counted)
         for lanes, thermo_calls, calls_at_300 in (
-                (450, [(500, 0), (500, 0)], [(500, 0), (500, 1), (500, 0), (100, 1), (2, 1)]),
-                (300, [(750, 0), (250, 0)], [(750, 0), (600, 1), (250, 0), (2, 1)])):
+                (300, [(374, 0), (374, 0), (252, 0)],
+                 [(374, 0), (374, 1), (374, 0), (226, 1), (252, 0), (2, 1)]),
+                (150, [(750, 0), (250, 0)], [(750, 0), (600, 1), (250, 0), (2, 1)])):
             # Thermo only: 2 z_u normals per window, and no z_s.
             calls.clear()
             pipeline._compute_chunk(_job(params, g, v, 5, 0, lanes, 10, None))
