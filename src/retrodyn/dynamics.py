@@ -25,14 +25,14 @@ amplitude, so strong order 1 needs no Milstein correction.
 Wiener increments come from a counter-based generator (Philox) keyed by
 (seed, stream), making every (seed, stream, step, component) -> increment
 mapping reproducible regardless of scheduling, batching or block size.
-
-The recurrences run time-major: a batch is laid out (steps, lanes, 2), so
-one step updates every lane in one contiguous row. A single lane runs the
-same loop on Python floats instead (_one_lane_blocks), which performs the
-same IEEE operations without numpy's per-call cost on a 2-element row. The
-step helpers (_draw_increments, _synthesis_steps, _photocurrent) are the one
-implementation of the synthesis; simulate_batch runs them over the whole
-grid and returns lane-major arrays. The route check of an ensemble in
+Draws are lane-major, one Philox call per lane (_draw_lanes, which the
+chunk kernel of retrodyn.pipeline shares). The recurrences run time-major:
+a batch is laid out (steps, lanes, 2), so one step updates every lane in
+one contiguous row. A single lane runs the same loop on Python floats
+instead (_one_lane_blocks), which performs the same IEEE operations without
+numpy's per-call cost on a 2-element row. _synthesis_steps and _photocurrent
+are the one implementation of the synthesis; simulate_batch runs them on
+its draws and returns lane-major arrays. The route check of an ensemble in
 retrodyn.pipeline takes its trajectory 0 from simulate_trajectory.
 """
 
@@ -126,7 +126,7 @@ class Trajectory:
         Homodyne record i, units 1/sqrt(s); i[k] * dt equals
         sqrt(4 eta_det Gamma_qba) r[k] dt + dw[k] by construction.
     seed, stream : int
-        Generator key; (seed, stream) identifies the noise realization.
+        Generator key of the noise realization; a batch holds streams[0].
     """
 
     grid: TimeGrid
@@ -221,10 +221,15 @@ def conditional_variance_midpoints(p: PhysParams, v_nodes: np.ndarray, dt: float
 def trajectory_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for one noise realization.
 
-    Philox keyed by (seed, stream); consecutive standard_normal draws give
-    the (seed, stream, step, component) -> increment mapping.
+    Philox keyed by (seed, stream) from counter 0: a record's per-step
+    increments and an ensemble lane's z_u (its z_s start at _Z_S_COUNTER).
     """
     return _philox(seed, stream)
+
+
+#: Philox counter of an ensemble lane's z_s draws: its top word is 1, so under
+#: the lane's key they never meet those of trajectory_rng, which start at 0.
+_Z_S_COUNTER = (0, 0, 0, 1)
 
 
 def _philox(seed: int, stream: int, counter=None) -> np.random.Generator:
@@ -248,21 +253,11 @@ def _mean_coefficients(p: PhysParams, dt: float, v_mids):
     return c, c * v_mids, 1.0 - 0.5 * p.gamma_m * dt
 
 
-def _draw_increments(gens, dt: float, out, raw) -> None:
-    """Each lane's next steps x 2 increments into out, time-major (steps,
-    lanes, 2).
-
-    Lane j reads the next normals of gens[j]; Philox draws no more than it
-    hands out, so a record drawn block by block is bit-identical to one
-    drawn in a single call. raw, at least as large as out, holds the draws
-    lane-major before the transpose.
-    """
-    lanes = raw.reshape(-1)[:out.size].reshape(len(gens), len(out), 2)
-    for j, gen in enumerate(gens):
-        gen.standard_normal(out=lanes[j])
-    if dt != 1.0:  # unit normals need no scaling pass
-        lanes *= math.sqrt(dt)
-    _swap_pairs(lanes, out)
+def _draw_lanes(gens, out) -> None:
+    """Each lane's next unit normals into its row of out: one call per lane.
+    Philox draws only what it hands out, so blocks leave the bits alone."""
+    for gen, row in zip(gens, out):
+        gen.standard_normal(out=row)
 
 
 def _swap_pairs(x, out=None):
@@ -333,14 +328,12 @@ def _recovered_increments(photo, r_start, c: float, dt: float):
     return photo * dt - c * r_start * dt
 
 
-def _photocurrent_residual(photo, r_start, dw, c: float, dt: float) -> float:
-    """max |i dt - c r dt - dw| / sqrt(dt), the recovered increments against
-    dw, by eighths of the leading axis: no temporary exceeds an eighth."""
-    err = 0.0
-    for ph, rs, w in zip(*(np.array_split(x, 8) for x in (photo, r_start, dw))):
-        rec = np.subtract(_recovered_increments(ph, rs, c, dt), w)
-        err = np.maximum(err, np.abs(rec, out=rec).max(initial=0.0))
-    return float(err) / math.sqrt(dt)
+def _photocurrent_residual(traj: Trajectory, p: PhysParams) -> float:
+    """max |i dt - c r dt - dw| / sqrt(dt) of a record or a batch: the
+    recovered increments against dw, over every step of every lane."""
+    c, dt = _measurement_strength(p), traj.grid.dt
+    rec = _recovered_increments(traj.photocurrent, traj.r[..., :-1, :], c, dt) - traj.dw
+    return float(np.abs(rec, out=rec).max(initial=0.0)) / math.sqrt(dt)
 
 
 def simulate_trajectory(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
@@ -368,7 +361,7 @@ def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
     streams is a sequence of stream indices; the returned Trajectory holds
     stacked arrays with a leading batch axis (r has shape (m, n+1, 2)).
     Lane j is bit-identical to simulate_trajectory(..., stream=streams[j]).
-    The steps run time-major internally; the arrays are returned lane-major.
+    The draws and the returned arrays are lane-major; the means run time-major.
     """
     streams = list(streams)
     if not streams:
@@ -376,13 +369,13 @@ def simulate_batch(p: PhysParams, grid: TimeGrid, v0: float, seed: int,
     v_nodes = solve_conditional_variance(p, grid, v0)
     c, amp, efac = _mean_coefficients(
         p, grid.dt, conditional_variance_midpoints(p, v_nodes, grid.dt))
-    gens = [trajectory_rng(seed, s) for s in streams]
-    dw = np.empty((grid.n_steps, len(streams), 2))
-    _draw_increments(gens, grid.dt, dw, np.empty_like(dw))
+    dw = np.empty((len(streams), grid.n_steps, 2))
+    _draw_lanes([trajectory_rng(seed, s) for s in streams], dw)
+    dw *= math.sqrt(grid.dt)
     r = np.zeros((grid.n_steps + 1, len(streams), 2))
-    _synthesis_steps(r, dw, amp, efac)
-    photo = _photocurrent(r[:-1], dw, c, grid.dt)
-    r, dw, photo = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (r, dw, photo))
+    _synthesis_steps(r, _swap_pairs(dw), amp, efac)
+    r = _swap_pairs(r)
+    photo = _photocurrent(r[:, :-1], dw, c, grid.dt)
     return Trajectory(grid=grid, r=r, v=v_nodes, dw=dw, photocurrent=photo,
                       seed=seed, stream=streams[0])
 
@@ -399,8 +392,7 @@ def verify_photocurrent_identity(traj: Trajectory, p: PhysParams) -> bool:
     was recovered by this same formula, so the residual is exactly 0 and the
     check cannot detect a corrupted file.
     """
-    return _photocurrent_residual(traj.photocurrent, traj.r[..., :-1, :], traj.dw,
-                                  _measurement_strength(p), traj.grid.dt) <= PHOTOCURRENT_TOL
+    return _photocurrent_residual(traj, p) <= PHOTOCURRENT_TOL
 
 
 def write_trajectory_csv(traj: Trajectory, path, every: int = 1) -> None:

@@ -152,7 +152,8 @@ def validate_params(raw: dict) -> PhysParams:
     Raises
     ------
     ConfigError
-        If a required key is missing or a key is duplicated or unknown.
+        If a required key is missing, a key is duplicated or unknown, or a
+        value is not a number.
     ValidationError
         If a value violates its bound.
     """
@@ -164,9 +165,9 @@ def validate_params(raw: dict) -> PhysParams:
         if bare is not None and hz is not None:
             raise ConfigError(f"both {key} and {key}_hz supplied; give exactly one")
         if hz is not None:
-            values[key] = TWO_PI * float(hz)
+            values[key] = TWO_PI * _number(key + "_hz", hz)
         elif bare is not None:
-            values[key] = float(bare)
+            values[key] = _number(key, bare)
     unknown = sorted(leftover)
     if unknown:
         raise ConfigError(f"unknown parameter keys: {', '.join(unknown)}")
@@ -174,6 +175,14 @@ def validate_params(raw: dict) -> PhysParams:
         if key not in values:
             raise ConfigError(f"missing required parameter: {key} (or {key}_hz)")
     return PhysParams(**values)
+
+
+def _number(key: str, value, kind=float):
+    """kind(value), or a ConfigError naming key if value is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
 
 
 def derive_rates(p: PhysParams) -> DerivedRates:
@@ -232,6 +241,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    """Read and parse a configuration file (see :func:`parse_config_text`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Read and parse a UTF-8 configuration file (see :func:`parse_config_text`)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text)

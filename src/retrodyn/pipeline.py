@@ -43,7 +43,7 @@ component: 2 K + 2 J + 2 normals per lane for K windows, and 2 K without
 retrodiction. A chunk job is the plan and a lane range. _route_check takes
 trajectory 0 from simulate_trajectory, filters it with forward_filter and
 backward_filter and checks both routes on it, the tail included
-(checks.json).
+(checks.json). A chunk and trajectory 0 draw with dynamics._draw_lanes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .errors import (ConfigError, ResourceError, RetrodynError, StatisticsError,
                      ValidationError)
 from .estimation import EnsembleVariance, _ExactMoments
 from .fullmodel import adiabatic_consistency_check
-from .model import PhysParams, derive_rates, load_config, validate_params
+from .model import PhysParams, _number, derive_rates, load_config, validate_params
 from .thermo import EnsembleRates
 
 __all__ = [
@@ -227,12 +227,9 @@ def config_from_mapping(raw: dict, **overrides) -> ExperimentConfig:
             run[key] = raw.pop(key)
     params = validate_params(raw) if raw else default_params()
 
-    try:
-        for key, kind in _RUN_KEYS.items():
-            if key in run and kind in (int, float):
-                run[key] = kind(run[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in config: {exc}") from exc
+    for key, kind in _RUN_KEYS.items():
+        if key in run and kind in (int, float):
+            run[key] = _number(key, run[key], kind)
     if "pipelines" in run:
         val = run["pipelines"]
         if isinstance(val, str):
@@ -342,11 +339,6 @@ def _tail_sd(w, l22) -> float:
     return math.sqrt(math.fsum((np.multiply(w, l22) ** 2).tolist()))
 
 
-#: Philox counter at which a lane's z_s draws start. Its top word is 1, so
-#: under the lane's (master_seed, stream) key they never meet its z_u draws,
-#: which start at 0 (dynamics.trajectory_rng).
-_Z_S_COUNTER = (0, 0, 0, 1)
-
 #: What a chunk reads of its run, formed once per run (_window_plan): the
 #: keys, the output nodes and the window coefficients, nothing per step.
 _WindowPlan = namedtuple("_WindowPlan", "master_seed valid_stop n_kept v_out theta alpha "
@@ -378,30 +370,24 @@ def _window_plan(p: PhysParams, grid: TimeGrid, v_nodes, decim: int, valid_stop:
     return plan, (back, wu, ws, tail_w)
 
 
-def _draw_lanes(gens, out) -> None:
-    """Each lane's next unit normals into its row of out: one call per lane."""
-    for gen, row in zip(gens, out):
-        gen.standard_normal(out=row)
-
-
 def _compute_chunk(args):
     """Simulate, filter and decimate one chunk of trajectories into exact sums.
 
     args is (plan, lo, hi): the lanes lo to hi of the run whose _window_plan
     is plan, on a grid of whole windows of D steps. The chunk takes the window
-    route (_window_weights): per window j, u_j = l11 z_u and S_j = alpha r_j
-    + l21 z_u + l22 z_s (_window_factors), x and y of each. Each lane draws
-    z_u on every window from its trajectory_rng generator, and, with
-    retrodiction, z_s from its key at _Z_S_COUNTER on the windows j < J =
-    valid_stop only, lane-major, one call per block (_draw_lanes). Past J a
+    route (_window_weights): per window j, u_j = l11 z_u and S_j = alpha r_j +
+    l21 z_u + l22 z_s (_window_factors), x and y of each. Each lane draws z_u
+    on every window from its trajectory_rng generator, and, with retrodiction,
+    z_s from its key at dynamics._Z_S_COUNTER on the windows j < J =
+    valid_stop only, lane-major, by block (dynamics._draw_lanes). Past J a
     window reaches the valid nodes only through r_b[J] = sum_{j >= J} A^(j -
     J) S_j, A = afac^D: its known part alpha r_j + l21 z_u is added forward
-    into that row as the nodes are made, and its z_s parts, independent of
-    all else, sum to one tail normal per lane and component of standard
-    deviation sqrt(sum A^(2 (j - J)) l22_j^2), drawn last from the z_s
-    generator. The rest runs time-major, (windows, lanes, 2), one tile of a
-    block's windows at a time; the sums (layer "fold") take each tile's
-    theta rows, and d = r_hat - r_b after the backward steps over J windows.
+    into that row as the nodes are made, and its z_s parts, independent of all
+    else, sum to one tail normal per lane and component of standard deviation
+    sqrt(sum A^(2 (j - J)) l22_j^2), drawn last from the z_s generator. The
+    rest runs time-major, (windows, lanes, 2), one tile of a block's windows
+    at a time; the sums (layer "fold") take each tile's theta rows, and d =
+    r_hat - r_b after the backward steps over J windows.
 
     Returns (lo, theta, sums, layer_s): the lanes below n_kept, (lanes,
     nodes); the _ExactMoments of d on the valid nodes (none without
@@ -423,7 +409,7 @@ def _compute_chunk(args):
     part = sums[1].partial(lanes, v_out.shape)  # theta's node 0, at V, sums to 0
     stop = valid_stop if retrodict else 0  # z_s on the windows before stop
     if retrodict:
-        s_gens = [dynamics._philox(master_seed, s, _Z_S_COUNTER) for s in range(lo, hi)]
+        s_gens = [dynamics._philox(master_seed, s, dynamics._Z_S_COUNTER) for s in range(lo, hi)]
         rh_dec = np.zeros((valid_stop, lanes, 2))  # r_hat on the valid nodes
         rb_dec = np.zeros((valid_stop + 1, lanes, 2))  # window sums, the tail; r_b
     # A block of n_z windows: the draws z = (z_u, z_s), lane-major. A tile of
@@ -438,9 +424,9 @@ def _compute_chunk(args):
     lap("chunk_setup")
     for j0 in range(0, n_win, n_z):
         k = min(n_z, n_win - j0)  # k windows
-        _draw_lanes(gens, z[0, :, :k])
+        dynamics._draw_lanes(gens, z[0, :, :k])
         if j0 < stop:
-            _draw_lanes(s_gens, z[1, :, :min(k, stop - j0)])
+            dynamics._draw_lanes(s_gens, z[1, :, :min(k, stop - j0)])
         lap("draws")
         for t0 in range(0, k, n_t):
             j, t = j0 + t0, min(n_t, k - t0)  # windows j to j + t - 1, h before J
@@ -474,7 +460,7 @@ def _compute_chunk(args):
             nodes[0] = nodes[t]
     if retrodict:
         # The tail normal, drawn where window J's z_s would be.
-        _draw_lanes(s_gens, z[1, :, :1])
+        dynamics._draw_lanes(s_gens, z[1, :, :1])
         rb_dec[-1] += plan.tail_sd * z[1, :, 0]
         lap("draws")
         # Free the block and tile buffers, and every view of them, before d.
@@ -503,8 +489,7 @@ def _route_check(p: PhysParams, traj, plan: _WindowPlan, back, wu, ws, tail_w):
     these pairs. No value depends on n_traj, chunking or worker count.
     """
     grid, stop, (k, decim) = traj.grid, plan.valid_stop, wu.shape
-    residual = dynamics._photocurrent_residual(traj.photocurrent, traj.r[:-1], traj.dw,
-                                               dynamics._measurement_strength(p), grid.dt)
+    residual = dynamics._photocurrent_residual(traj, p)
     r_hat = estimation.forward_filter(traj.photocurrent, p, grid, v_series=traj.v)
     # The window route, on one lane: u_j per window, then the node recursion.
     wins, r = traj.dw.reshape(k, decim, 1, 2), traj.r[:, None]

@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,28 @@ def test_accepted_configurations_keep_the_exit_contract(run):
     assert "Traceback" not in stderr
     if status:
         assert "stage '" in stderr or "failed checks" in stderr, stderr
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "run.cfg"),
+    ("directory", "run.cfg"),
+    (b"gamma_m = \xff\n", "run.cfg"),
+    (b"gamma_m = abc\n", "gamma_m"),
+    (b"gamma_m =\n", "gamma_m"),
+], ids=["missing", "directory", "not-utf8", "not-a-number", "no-value"])
+def test_bad_config_file_is_refused_at_stage_config(tmp_path, content, named):
+    # A config file that cannot be read, or a parameter that is not a
+    # number, is a refusal naming the file or the key, before any output.
+    path = tmp_path / "run.cfg"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")])
+    stderr = err.getvalue()
+    assert status == 2, stderr
+    assert "stage 'config'" in stderr and named in stderr, stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()

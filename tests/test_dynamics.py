@@ -175,6 +175,22 @@ class TestTrajectory:
             assert np.array_equal(batch.photocurrent[lane], single.photocurrent)
             assert np.array_equal(batch.dw[lane], single.dw)
 
+    def test_batch_draws_each_streams_philox_normals(self, params):
+        # Lane j's increments are the first normals of Philox keyed (seed,
+        # streams[j]), two per step in step order, times sqrt(dt), whatever
+        # the order of the streams. numpy's own generator is the reference.
+        g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=500)
+        seed, streams = 1234, [5, 0, 3]
+        batch = rd.simulate_batch(params, g, rd.derive_rates(params).v_uc, seed, streams)
+        for lane, stream in zip(batch.dw, streams):
+            key = np.array([seed, stream], dtype=np.uint64)
+            normals = np.random.Generator(np.random.Philox(key=key)).standard_normal((500, 2))
+            assert lane.tobytes() == (normals * math.sqrt(g.dt)).tobytes()
+        # Lane-major and C-ordered, as returned.
+        for x, nodes in ((batch.dw, 500), (batch.r, 501), (batch.photocurrent, 500)):
+            assert x.shape == (3, nodes, 2) and x.flags.c_contiguous
+        assert rd.verify_photocurrent_identity(batch, params)
+
     def test_batch_empty_streams(self, params, grid):
         with pytest.raises(rd.ValidationError):
             rd.simulate_batch(params, grid, 1.0, seed=1, streams=[])

@@ -612,7 +612,7 @@ class TestWindowDrawnLanes:
         # former default width, and of 375 at 150 lanes, the default.
         g = rd.TimeGrid(t0=0.0, dt=1e-7, n_steps=5000)
         v = _riccati_nodes(params, g)
-        calls, draw = [], pipeline._draw_lanes
+        calls, draw = [], dynamics._draw_lanes
 
         def counted(gens, out):
             # Normals per lane, then the top Philox counter word of the
@@ -621,7 +621,7 @@ class TestWindowDrawnLanes:
             calls.append((out.size // len(gens), *words))
             draw(gens, out)
 
-        monkeypatch.setattr(pipeline, "_draw_lanes", counted)
+        monkeypatch.setattr(dynamics, "_draw_lanes", counted)
         for lanes, thermo_calls, calls_at_300 in (
                 (300, [(374, 0), (374, 0), (252, 0)],
                  [(374, 0), (374, 1), (374, 0), (226, 1), (252, 0), (2, 1)]),
