@@ -173,7 +173,8 @@ def validate_params(raw: dict) -> PhysParams:
         raise ConfigError(f"unknown parameter keys: {', '.join(unknown)}")
     for key in _REQUIRED_KEYS:
         if key not in values:
-            raise ConfigError(f"missing required parameter: {key} (or {key}_hz)")
+            hz = "" if key in _DIMENSIONLESS else f" (or {key}_hz)"
+            raise ConfigError(f"missing required parameter: {key}{hz}")
     return PhysParams(**values)
 
 

@@ -57,8 +57,6 @@ import sys
 import tempfile
 import time
 from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate
 from operator import mul
@@ -525,8 +523,10 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
     Riccati solve, for the window plan (_window_plan) that every chunk job
     reads with its lane range. Chunks run here or, for n_workers > 1 (0 =
     one per available CPU), in a process pool; each hands back its exact
-    sums and display lanes only. The backward filter runs only when
-    "reconstruct" is configured; then eta_det = 0 raises RegimeError.
+    sums and display lanes only. Only that branch imports the pool, and it
+    raises a broken pool as ResourceError("BrokenProcessPool: ..."). The
+    backward filter runs only when "reconstruct" is configured; then
+    eta_det = 0 raises RegimeError.
     """
     p, grid, n_traj, decimation = config.params, config.grid(), config.n_traj, config.decimation
     if n_traj < 2:
@@ -552,10 +552,13 @@ def collect_ensemble(config: ExperimentConfig) -> EnsembleBundle:
         n_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
     if n_workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor, process  # only a pool needs them
         # The pool starts all its workers at once: no more than jobs.
-        n_workers = min(n_workers, len(jobs))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            bundle._add(pool.map(_compute_chunk, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+                bundle._add(pool.map(_compute_chunk, jobs))
+        except process.BrokenProcessPool as exc:
+            raise ResourceError(f"BrokenProcessPool: {exc}") from exc
     else:
         bundle._add(map(_compute_chunk, jobs))
     return bundle
@@ -609,10 +612,10 @@ class _Stage:
     """Names the failing pipeline stage on any package error.
 
     Resource failures from outside the package (an OSError while writing a
-    product, a MemoryError, a worker process that died) become a
-    ResourceError, so they too reach the caller as a stage-named
-    RetrodynError. Given a wall_s dict, the stage adds its wall seconds
-    there under its name.
+    product, a MemoryError) become a ResourceError, so they too reach the
+    caller as a stage-named RetrodynError; collect_ensemble converts a
+    broken process pool itself. Given a wall_s dict, the stage adds its
+    wall seconds there under its name.
     """
 
     def __init__(self, name: str, wall_s: dict | None = None):
@@ -628,7 +631,7 @@ class _Stage:
                                       + time.perf_counter() - self.t0)
         if isinstance(exc, RetrodynError):
             raise type(exc)(f"stage '{self.name}': {exc}") from exc
-        if isinstance(exc, (OSError, MemoryError, BrokenProcessPool)):
+        if isinstance(exc, (OSError, MemoryError)):
             raise ResourceError(
                 f"stage '{self.name}': {type(exc).__name__}: {exc}") from exc
         return False

@@ -125,9 +125,16 @@ class TestValidateParams:
         with pytest.raises(rd.ConfigError, match="unknown"):
             rd.validate_params(dict(REF, typo_key=1.0))
 
-    def test_missing_key_named(self):
-        with pytest.raises(rd.ConfigError, match="eta_det"):
-            rd.validate_params({"gamma_m": 1.0, "n_th": 1.0, "gamma_qba": 1.0})
+    @pytest.mark.parametrize("named", ["gamma_m (or gamma_m_hz)", "n_th",
+                                       "gamma_qba (or gamma_qba_hz)", "eta_det"],
+                             ids=lambda named: named.split()[0])
+    def test_missing_key_named(self, named):
+        # n_th and eta_det are dimensionless: no _hz spelling is offered.
+        raw = {"gamma_m": 1.0, "n_th": 1.0, "gamma_qba": 1.0, "eta_det": 0.5}
+        del raw[named.split()[0]]
+        with pytest.raises(rd.ConfigError) as err:
+            rd.validate_params(raw)
+        assert str(err.value) == f"missing required parameter: {named}"
 
 
 class TestConfigText:

@@ -1,6 +1,7 @@
 """Experiment runner and command line: configuration parsing, byte-level
 reproducibility of the data products, stage naming, and exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -829,9 +830,10 @@ class TestRunDeterminism:
     def test_shuffled_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, chunk_size):
         # Each chunk reduces to exact integer sums, so the order in which the
         # parent receives them cannot move a bit: chunks arrive shuffled from
-        # the pool (2 workers) and from the serial path (1 worker, whose
-        # builtin map the module-level name shadows).
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _ShuffledPool)
+        # the pool (2 workers, whose branch imports concurrent.futures'
+        # ProcessPoolExecutor when it starts) and from the serial path (1
+        # worker, whose builtin map the module-level name shadows).
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ShuffledPool)
         monkeypatch.setattr(pipeline, "map", lambda fn, jobs: _ShuffledPool(1).map(fn, jobs),
                             raising=False)
         monkeypatch.setattr(_ShuffledPool, "delivered", [])
@@ -1306,7 +1308,7 @@ class TestCli:
             def map(self, fn, jobs):
                 raise exc
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
         cfg = _write_cfg(tmp_path / "pool.cfg",
                          "n_workers = 2\nchunk_size = 2\nn_traj = 4\nt_final = 1e-4\n")
         assert cli.main(["thermo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -1330,7 +1332,7 @@ class TestCli:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = default_config(out_dir=str(tmp_path), n_workers=64, n_traj=4,
                              chunk_size=2, t_final=1e-4, pipelines=("thermo",))
         run_experiment(cfg)
